@@ -156,14 +156,6 @@ class AbCertificate:
         )
         return cls(tuple(doc["input"]), tuple(doc["canonical"]), steps)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AbCertificate)
-            and self.source == other.source
-            and self.canonical == other.canonical
-            and self.steps == other.steps
-        )
-
 
 def _inverse_scale(k: int) -> RationalFunction:
     # 1/(A^k - A^-k); requires k != 0.

@@ -9,8 +9,31 @@ nonconstant factor with the numerator; any net power of A is carried by
 the numerator, and zero is always 0/1.  Under these rules every value has
 one representation, so equality never needs simplification.
 
-Coefficients are fractions.Fraction, hence arbitrary precision.  Nothing
-in this module touches floating point.
+Only the public RationalFunction constructor reduces an arbitrary pair,
+with one gcd of the whole numerator and denominator.  The field
+operations start from operands that are already canonical, so they take
+a gcd only where a common factor can exist (Henrici's method; Knuth,
+TAOCP vol. 2, 4.5.1).  Write x = a/b and y = c/d, and let ord p be p
+without its power of A; a canonical b has no factor A, so only ord a can
+meet b.
+  * x * y divides out gcd(ord a, d) and gcd(ord c, b), skipping each when
+    the numerator is a monomial or the denominator is 1; nothing else can
+    cancel, because a is already coprime to b and c to d.
+  * x + y and x - y take g = gcd(b, d), or none when b = d (then g = b) or
+    when one denominator is 1.  With b = g b', d = g d' the sum is
+    t/(g b' d') for t = a d' + c b'.  A prime dividing b' and t would
+    divide a d', but a is coprime to b and b' to d'; so t is coprime to
+    b' d', and at most gcd(ord t, g) can cancel, which is 1 when g = 1.
+  * inverse takes no gcd: the reciprocal of a coprime pair is coprime,
+    and it only moves the power of A into the new numerator and makes
+    the new denominator monic.  x / y is x * y.inverse().
+When both operands are over 1 the result is the plain Laurent-polynomial
+sum or product, which is canonical as it stands.
+
+Coefficients are fractions.Fraction, hence arbitrary precision.  The
+constructors turn int coefficients into Fractions and reject floats, so
+every division below is exact; nothing in this module touches floating
+point.
 """
 
 from __future__ import annotations
@@ -22,14 +45,21 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
+def _exact(c) -> Fraction:
+    """A coefficient as a Fraction; a float is refused, never rounded."""
+    if isinstance(c, float):
+        raise TypeError(f"coefficient {c!r} is a float; Q(A) needs exact coefficients")
+    return c if type(c) is Fraction else Fraction(c)
+
+
 class LaurentPoly:
     """Laurent polynomial in A over Q, stored as an {exponent: coefficient} map."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
-        # Coefficients must already be Fractions (or exact ints); zeros are dropped.
-        self.terms = {} if not terms else {e: c for e, c in terms.items() if c}
+        # Coefficients become Fractions (floats are refused); zeros are dropped.
+        self.terms = {} if not terms else {e: x for e, c in terms.items() if (x := _exact(c))}
 
     @classmethod
     def _raw(cls, terms: dict[int, Fraction]) -> "LaurentPoly":
@@ -48,12 +78,12 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value) -> "LaurentPoly":
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def monomial(cls, exp: int, coeff=1) -> "LaurentPoly":
         """The single term coeff * A^exp."""
-        return cls({exp: Fraction(coeff)})
+        return cls({exp: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -193,7 +223,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if ra.is_zero():
         return _LP_ZERO
     lc = ra.leading_coeff()
-    return ra if lc == 1 else ra.scale(1 / lc)
+    return ra if lc == 1 else ra.scale(_F1 / lc)
 
 
 def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -219,10 +249,45 @@ def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
         den = _poly_exact_div(den, g)
     lc = den.leading_coeff()
     if lc != 1:
-        inv = 1 / lc
+        inv = _F1 / lc
         num_ord = num_ord.scale(inv)
         den = den.scale(inv)
     return num_ord.shift(w), den
+
+
+def _cancel(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    # Divide num and den by gcd(ord num, den), returning both unchanged when
+    # nothing cancels; a numerator with at most one term or a denominator
+    # of 1 shares no factor.
+    if den.is_one() or len(num.terms) <= 1:
+        return num, den
+    w = num.min_exp()
+    num_ord = num.shift(-w)
+    g = poly_gcd(num_ord, den)
+    if g.is_one():
+        return num, den
+    return _poly_exact_div(num_ord, g).shift(w), _poly_exact_div(den, g)
+
+
+def _sum(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly) -> "RationalFunction":
+    # Canonical a/b + c/d for canonical operands not both over 1; the module
+    # docstring shows why only g = gcd(b, d) can meet the cross-sum t.
+    if b.is_one():
+        return RationalFunction._raw(a * d + c, d)
+    if d.is_one():
+        return RationalFunction._raw(a + c * b, b)
+    if b == d:
+        t, den = _cancel(a + c, b)
+    else:
+        g = poly_gcd(b, d)
+        if g.is_one():
+            return RationalFunction._raw(a * d + c * b, b * d)
+        b_rest, d_rest = _poly_exact_div(b, g), _poly_exact_div(d, g)
+        t, g_rest = _cancel(a * d_rest + c * b_rest, g)
+        den = b * d_rest if g_rest is g else b_rest * d_rest * g_rest
+    if t.is_zero():
+        return _RF_ZERO
+    return RationalFunction._raw(t, den)
 
 
 class RationalFunction:
@@ -238,6 +303,14 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("denominator is zero in Q(A)")
         self.num, self.den = _reduce(num, den)
+
+    @classmethod
+    def _raw(cls, num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
+        # Internal: num/den is known to be canonical already.
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
 
     @classmethod
     def zero(cls) -> "RationalFunction":
@@ -268,37 +341,43 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.num.is_zero():
             raise ZeroDivisionError("zero has no inverse in Q(A)")
-        return RationalFunction(self.den, self.num)
+        # The swapped pair is still coprime: only the power of A moves to the
+        # new numerator, and the new denominator is made monic.
+        w = self.num.min_exp()
+        den = self.num.shift(-w)
+        num = self.den.shift(-w)
+        lc = den.leading_coeff()
+        if lc != 1:
+            inv = _F1 / lc
+            num = num.scale(inv)
+            den = den.scale(inv)
+        return RationalFunction._raw(num, den)
 
     def __neg__(self) -> "RationalFunction":
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RationalFunction._raw(-self.num, self.den)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if self.den.is_one() and other.den.is_one():
             return RationalFunction(self.num + other.num)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return _sum(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         if self.den.is_one() and other.den.is_one():
             return RationalFunction(self.num - other.num)
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return _sum(self.num, self.den, -other.num, other.den)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.den.is_one() and other.den.is_one():
             return RationalFunction(self.num * other.num)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if self.num.is_zero() or other.num.is_zero():
+            return _RF_ZERO
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        den = d2 if d1.is_one() else d1 if d2.is_one() else d1 * d2
+        return RationalFunction._raw(n1 * n2, den)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero in Q(A)")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __eq__(self, other) -> bool:
         return (

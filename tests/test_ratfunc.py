@@ -74,18 +74,23 @@ def test_canonical_form_idempotent():
         assert again.num == x.num and again.den == x.den
 
 
+def _assert_canonical(x):
+    for terms in (x.num.terms, x.den.terms):
+        for c in terms.values():
+            assert type(c) is Fraction and c
+    assert x.den.is_ordinary()
+    assert x.den.leading_coeff() == 1
+    assert x.den.constant_term() != 0
+    if x.is_zero():
+        assert x.den.is_one()
+    else:
+        assert poly_gcd(x.num.shift(-x.num.min_exp()), x.den).is_one()
+
+
 def test_canonical_denominator_invariants():
     rng = random.Random(8)
     for _ in range(200):
-        x = _random_rf(rng)
-        assert x.den.is_ordinary()
-        assert x.den.leading_coeff() == 1
-        assert x.den.constant_term() != 0
-        if x.is_zero():
-            assert x.den.is_one()
-        else:
-            w = x.num.min_exp()
-            assert poly_gcd(x.num.shift(-w), x.den).is_one()
+        _assert_canonical(_random_rf(rng))
 
 
 def test_field_laws_random():
@@ -122,3 +127,134 @@ def test_render_parse_roundtrip():
     for _ in range(150):
         x = _random_rf(rng)
         assert parse_scalar(str(x)) == x
+
+
+def test_int_coefficients_divide_exactly():
+    x = RationalFunction(LaurentPoly({0: 3}), LaurentPoly({0: 2}))
+    assert x.num.terms == {0: Fraction(3, 2)}
+    assert type(x.num.terms[0]) is Fraction
+    y = RationalFunction(LaurentPoly({0: 3}), LaurentPoly({0: 1, 1: -1}))
+    assert str(y) == "(-3)/(A - 1)"
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        LaurentPoly.constant(0.1)
+    with pytest.raises(TypeError):
+        LaurentPoly.monomial(2, 0.5)
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 1, 1: 0.0})
+
+
+# ---- differential tests: the gcd-free operations against the constructor
+
+_FACTORS = (
+    {0: -1, 1: 1},  # A - 1
+    {0: 1, 1: 1},  # A + 1
+    {0: -1, 2: 1},  # A^2 - 1, shares a factor with both of the above
+    {0: 1, 2: 1},  # A^2 + 1
+    {0: 3, 1: 2},  # 2A + 3
+    {0: 1, 1: 1, 2: 1},  # A^2 + A + 1
+)
+
+
+def _factor_product(rng, k):
+    p = LaurentPoly.one()
+    for _ in range(k):
+        p = p * LaurentPoly(rng.choice(_FACTORS))
+    return p
+
+
+def _canonical_operand(rng):
+    """A seeded canonical x, biased towards shared factors and special cases."""
+    kind = rng.randrange(6)
+    if kind == 0:  # over 1
+        return RationalFunction(_random_poly(rng))
+    if kind == 1:  # monomial numerator
+        coeff = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        num = LaurentPoly.monomial(rng.randint(-3, 3), coeff)
+        return RationalFunction(num, _factor_product(rng, rng.randint(1, 2)))
+    num = _random_poly(rng, allow_zero=False) * _factor_product(rng, rng.randint(0, 2))
+    den = _factor_product(rng, rng.randint(0, 3)).shift(-rng.randint(0, 2))
+    return RationalFunction(num, den.scale(Fraction(rng.choice((1, -2, 3)))))
+
+
+def _operand_pair(rng):
+    x = _canonical_operand(rng)
+    kind = rng.randrange(6)
+    if kind == 0:  # equal denominators
+        y = RationalFunction(_random_poly(rng) * _factor_product(rng, 1), x.den)
+    elif kind == 1:  # sums and differences that cancel to zero
+        y = rng.choice((x, -x))
+    elif kind == 2:  # y = z - x, so x + y cancels down to z
+        z = _canonical_operand(rng)
+        y = RationalFunction(z.num * x.den - x.num * z.den, z.den * x.den)
+    else:
+        y = _canonical_operand(rng)
+    return x, y
+
+
+def _reference_results(x, y):
+    """Each operation's result as the reducing constructor builds it."""
+    out = {
+        "+": (x + y, RationalFunction(x.num * y.den + y.num * x.den, x.den * y.den)),
+        "-": (x - y, RationalFunction(x.num * y.den - y.num * x.den, x.den * y.den)),
+        "*": (x * y, RationalFunction(x.num * y.num, x.den * y.den)),
+    }
+    if not y.is_zero():
+        out["/"] = (x / y, RationalFunction(x.num * y.den, x.den * y.num))
+        out["inverse"] = (y.inverse(), RationalFunction(y.den, y.num))
+    return out
+
+
+def test_operations_match_constructor_forms():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(600):
+        x, y = _operand_pair(rng)
+        for op, (got, want) in _reference_results(x, y).items():
+            assert got.num.terms == want.num.terms, (op, x, y)
+            assert got.den.terms == want.den.terms, (op, x, y)
+            assert str(got) == str(want)
+            _assert_canonical(got)
+            seen.add((op, got.is_zero(), got.den.is_one()))
+    # Every operation was seen over 1 and not, and sums cancelled to zero.
+    assert {("+", True, True), ("-", True, True)} <= seen
+    for op in ("+", "-", "*", "/", "inverse"):
+        assert (op, False, True) in seen and (op, False, False) in seen
+
+
+def test_operations_match_sympy_normal_forms():
+    sympy = pytest.importorskip("sympy")
+    A = sympy.Symbol("A")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * A**e for e, c in p.terms.items())
+
+    def normal_form(expr):
+        # p/q over Q[A] with q monic: sympy's reduced fraction, rescaled.
+        p, q = sympy.fraction(sympy.cancel(expr))
+        p, q = sympy.Poly(p, A, domain="QQ"), sympy.Poly(q, A, domain="QQ")
+        lc = q.LC()
+        return p.quo_ground(lc), q.quo_ground(lc)
+
+    def ours(x):
+        # The same pair from our num/den, with the power of A moved to an end.
+        if x.is_zero():
+            return sympy.Poly(0, A, domain="QQ"), sympy.Poly(1, A, domain="QQ")
+        w = x.num.min_exp()
+        p = sympy.Poly(to_sympy(x.num.shift(-w)), A, domain="QQ")
+        q = sympy.Poly(to_sympy(x.den), A, domain="QQ")
+        a_w = sympy.Poly(A ** abs(w), A, domain="QQ")
+        return (p * a_w, q) if w >= 0 else (p, q * a_w)
+
+    rng = random.Random(12)
+    for _ in range(60):
+        x, y = _operand_pair(rng)
+        sx = to_sympy(x.num) / to_sympy(x.den)
+        sy = to_sympy(y.num) / to_sympy(y.den)
+        cases = [(x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy)]
+        if not y.is_zero():
+            cases += [(x / y, sx / sy), (y.inverse(), 1 / sy)]
+        for got, expr in cases:
+            assert ours(got) == normal_form(expr), (x, y, got)
