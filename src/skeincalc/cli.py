@@ -5,6 +5,7 @@ common-curve, generators, grade, oracle-check, closure-check, selftest.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error.  Sweep commands take
 --box N; the SKEINCALC_BOX environment variable overrides the default.
+A box below 1, from either source, is a usage error.
 """
 
 from __future__ import annotations
@@ -24,14 +25,26 @@ from .torus2 import SkeinT2Element, chebyshev_t, curve, t_to_jw
 from .torus3 import Curve3, StandardEmbedding
 
 
-def _default_box(fallback: int) -> int:
-    value = os.environ.get("SKEINCALC_BOX")
-    if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"SKEINCALC_BOX must be an integer, got {value!r}")
+def _box(args, fallback: int) -> int:
+    """The sweep half-width: --box, else SKEINCALC_BOX, else the fallback.
+
+    A box below 1 is refused: a negative box holds no labels, so a sweep
+    over it would report PASS having checked nothing, and box 0 holds only
+    the degenerate label (0, 0).
+    """
+    if args.box is not None:
+        box, source = args.box, "--box"
+    else:
+        value = os.environ.get("SKEINCALC_BOX")
+        if value is None:
+            return fallback
+        try:
+            box, source = int(value), "SKEINCALC_BOX"
+        except ValueError:
+            raise ValueError(f"SKEINCALC_BOX must be an integer, got {value!r}")
+    if box < 1:
+        raise ValueError(f"{source} must be at least 1, got {box}")
+    return box
 
 
 def _element_terms(x) -> list[dict]:
@@ -329,7 +342,7 @@ def cmd_grade(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    box = args.box if args.box is not None else _default_box(3)
+    box = _box(args, 3)
     comparisons, mismatch = oracle_sweep(box)
     if mismatch is not None:
         print(f"oracle mismatch at labels {mismatch[0]} * {mismatch[1]}", file=sys.stderr)
@@ -346,7 +359,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_closure_check(args) -> int:
-    box = args.box if args.box is not None else _default_box(6)
+    box = _box(args, 6)
     problem = closure_sweep(box)
     if problem is not None:
         print(f"closure mismatch: {problem}", file=sys.stderr)
@@ -360,7 +373,7 @@ def cmd_closure_check(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    box = args.box if args.box is not None else _default_box(3)
+    box = _box(args, 3)
 
     def run_oracle():
         comparisons, mismatch = oracle_sweep(box)

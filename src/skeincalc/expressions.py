@@ -13,7 +13,16 @@ Grammar, lowest to highest precedence:
 rational-function text such as (-A^4 - 1)/(A^2 + 1) parses to the scalar
 it denotes.  A '(' opens a curve label exactly when an integer followed
 by a comma comes next.  Evaluation happens during parsing; there is no
-separate syntax tree.  Errors carry the line, column and offending token.
+separate syntax tree.  A subexpression is evaluated as a Q(A) value (a
+RationalFunction) until it meets a curve label; only then does it become
+a SkeinT2Element, as a multiple of the empty link or by scaling the
+element it meets.  Scalars are central and canonical forms are unique,
+so the result is the same canonical element as evaluating everything in
+the skein algebra, at the cost of plain Q(A) arithmetic.
+
+Nesting through '(' and unary minus is bounded by MAX_DEPTH, so a deep
+input ends in an ExpressionError rather than a RecursionError.  Errors
+carry the line, column and offending token.
 """
 
 from __future__ import annotations
@@ -22,6 +31,15 @@ from dataclasses import dataclass
 
 from .ratfunc import RationalFunction, a_pow
 from .torus2 import EMPTY, SkeinT2Element
+
+
+# Deepest nesting of '(' and unary minus accepted; each level costs the
+# recursive descent up to four interpreter frames, so this stays well
+# below the interpreter's recursion limit.
+MAX_DEPTH = 100
+
+# A parsed subexpression: a Q(A) scalar until it meets a curve label.
+Value = RationalFunction | SkeinT2Element
 
 
 class ExpressionError(ValueError):
@@ -97,6 +115,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         k = min(self.pos + ahead, len(self.tokens) - 1)
@@ -119,44 +138,61 @@ class _Parser:
     def fail(self, tok: Token, message: str):
         raise ExpressionError(tok.line, tok.col, f"{message} (near {tok.text or 'end of input'!r})")
 
-    def parse(self) -> SkeinT2Element:
+    def _nest(self, tok: Token) -> None:
+        # One level deeper, through '(' or a unary minus.
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(tok, f"expression nested deeper than {MAX_DEPTH} levels")
+
+    def parse(self) -> Value:
         value = self.expr()
         tok = self.peek()
         if tok.kind != "EOF":
             self.fail(tok, "trailing input after expression")
         return value
 
-    def expr(self) -> SkeinT2Element:
+    def expr(self) -> Value:
         value = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.advance()
             rhs = self.term()
+            if type(value) is not type(rhs):
+                value, rhs = _element(value), _element(rhs)
             value = value + rhs if op.kind == "PLUS" else value - rhs
         return value
 
-    def term(self) -> SkeinT2Element:
+    def term(self) -> Value:
         value = self.factor()
         while self.peek().kind in ("STAR", "SLASH"):
             op = self.advance()
             rhs = self.factor()
-            if op.kind == "STAR":
-                value = value * rhs
-            else:
+            if op.kind == "SLASH":
                 value = self._divide(value, rhs, op)
+            elif type(value) is type(rhs):
+                value = value * rhs
+            elif type(rhs) is RationalFunction:
+                value = value.scale(rhs)
+            else:
+                value = rhs.scale(value)
         return value
 
-    def _divide(self, value: SkeinT2Element, divisor: SkeinT2Element, op: Token) -> SkeinT2Element:
-        if divisor.support() - {EMPTY}:
-            self.fail(op, "divisor must be a scalar")
-        c = divisor.coeff(EMPTY)
+    def _divide(self, value: Value, divisor: Value, op: Token) -> Value:
+        c = divisor
+        if type(divisor) is SkeinT2Element:
+            if divisor.support() - {EMPTY}:
+                self.fail(op, "divisor must be a scalar")
+            c = divisor.coeff(EMPTY)
         if c.is_zero():
             self.fail(op, "division by zero")
-        return value.scale(c.inverse())
+        inv = c.inverse()
+        return value * inv if type(value) is RationalFunction else value.scale(inv)
 
-    def factor(self) -> SkeinT2Element:
+    def factor(self) -> Value:
         if self.peek().kind == "MINUS":
-            self.advance()
-            return -self.factor()
+            self._nest(self.advance())
+            value = -self.factor()
+            self.depth -= 1
+            return value
         return self.atom()
 
     def _signed_int(self, what: str) -> int:
@@ -167,11 +203,11 @@ class _Parser:
         tok = self.expect("INT", what)
         return sign * int(tok.text)
 
-    def atom(self) -> SkeinT2Element:
+    def atom(self) -> Value:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return SkeinT2Element.scalar(RationalFunction.from_int(int(tok.text)))
+            return RationalFunction.from_int(int(tok.text))
         if tok.kind == "NAME":
             self.advance()
             if tok.text == "A":
@@ -179,9 +215,9 @@ class _Parser:
                 if self.peek().kind == "CARET":
                     self.advance()
                     exp = self._signed_int("an integer exponent")
-                return SkeinT2Element.scalar(a_pow(exp))
+                return a_pow(exp)
             if tok.text == "empty":
-                return SkeinT2Element.unit()
+                return RationalFunction.one()
             self.fail(tok, f"unknown name {tok.text!r}")
         if tok.kind == "LPAREN":
             # Curve label when an integer then a comma follow.
@@ -193,16 +229,22 @@ class _Parser:
                 q = self._signed_int("an integer")
                 self.expect("RPAREN", "')'")
                 return SkeinT2Element.curve(p, q)
-            self.advance()
+            self._nest(self.advance())
             value = self.expr()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return value
         self.fail(tok, "expected a number, 'A', 'empty', a curve label or '('")
 
 
+def _element(value: Value) -> SkeinT2Element:
+    # A scalar value as a multiple of the empty link; elements pass through.
+    return SkeinT2Element.scalar(value) if type(value) is RationalFunction else value
+
+
 def parse_element(source: str) -> SkeinT2Element:
     """Parse a skein expression into a canonical element."""
-    return _Parser(tokenize(source)).parse()
+    return _element(_Parser(tokenize(source)).parse())
 
 
 def parse_scalar(source: str) -> RationalFunction:

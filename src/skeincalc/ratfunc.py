@@ -30,6 +30,23 @@ meet b.
 When both operands are over 1 the result is the plain Laurent-polynomial
 sum or product, which is canonical as it stands.
 
+Most of the gcds that remain are 1, and poly_gcd proves that case with a
+modular image before it tries the Euclidean algorithm over Q (Brown, J.
+ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1).  Fix the prime p = 2^61 - 1
+and send each coefficient n/d to n * d^-1 mod p.  Suppose every
+denominator is prime to p, both leading coefficients stay nonzero mod p,
+and the images of a and b are coprime over F_p, as the Euclidean
+algorithm on the images shows.  Reduction mod p is then a ring map on
+the coefficients that keeps both degrees, so it maps the Sylvester
+matrix of a and b entry by entry onto that of their images:
+Res(a, b) mod p = Res(image a, image b), which is nonzero because the
+images are coprime.  So Res(a, b) is nonzero and gcd(a, b) = 1 over Q.
+This is a proof, not a heuristic.  Every other case takes the Euclidean
+algorithm over Q, which stays the only code that produces a nontrivial
+gcd: a denominator divisible by p, a leading coefficient that vanishes
+mod p, images with a common factor (a true common factor, or a prime of
+the resultant that happens to be p), or a zero operand.
+
 Coefficients are fractions.Fraction, hence arbitrary precision.  The
 constructors turn int coefficients into Fractions and reject floats, so
 every division below is exact; nothing in this module touches floating
@@ -43,6 +60,8 @@ from functools import lru_cache
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+# The prime of poly_gcd's modular coprimality test (a Mersenne prime).
+_P = (1 << 61) - 1
 
 
 def _exact(c) -> Fraction:
@@ -215,8 +234,68 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     return LaurentPoly._raw(quo), LaurentPoly._raw(rem)
 
 
+def _image_mod_p(a: LaurentPoly) -> list[int] | None:
+    # Coefficients of the ordinary polynomial a mod _P, highest degree first,
+    # with c = n/d sent to n * d^-1; None when some d is divisible by _P.
+    terms = a.terms
+    out = [0] * (max(terms) + 1)
+    top = len(out) - 1
+    for e, c in terms.items():
+        n, d = c.as_integer_ratio()
+        if d == 1:
+            out[top - e] = n % _P
+        elif d % _P:
+            out[top - e] = n * pow(d, -1, _P) % _P
+        else:
+            return None
+    return out
+
+
+def _coprime_mod_p(a: LaurentPoly, b: LaurentPoly) -> bool:
+    # True only when a and b keep their degrees mod _P and their images are
+    # coprime over F_p; the module docstring shows that a, b are then coprime
+    # over Q.  False means nothing: the caller runs the Euclid over Q.
+    if not a.terms or not b.terms:
+        return False
+    fa, fb = _image_mod_p(a), _image_mod_p(b)
+    if fa is None or fb is None or not fa[0] or not fb[0]:
+        return False
+    # Images that both vanish at 1, or both at -1, share the factor A - 1 or
+    # A + 1 and are not coprime; the denominators A^2k - 1 of the commutator
+    # scales vanish at both, so most nontrivial gcds stop here.
+    if not sum(fa) % _P and not sum(fb) % _P:
+        return False
+    if not (sum(fa[::2]) - sum(fa[1::2])) % _P and not (sum(fb[::2]) - sum(fb[1::2])) % _P:
+        return False
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    while len(fb) > 1:
+        # fa, fb = fb, fa mod fb; both lists start with a nonzero coefficient.
+        inv = pow(fb[0], -1, _P)
+        nb = len(fb)
+        r = fa[:]
+        for i in range(len(r) - nb + 1):
+            q = r[i] * inv % _P
+            if q:
+                for j in range(1, nb):
+                    r[i + j] = (r[i + j] - q * fb[j]) % _P
+        r = r[len(r) - nb + 1 :]
+        while r and not r[0]:
+            del r[0]
+        if not r:
+            return False
+        fa, fb = fb, r
+    return True
+
+
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of two ordinary polynomials by the Euclidean algorithm."""
+    """Monic gcd of two ordinary polynomials.
+
+    A gcd of 1 that a modular image proves is returned at once; every
+    other gcd comes from the Euclidean algorithm over Q.
+    """
+    if _coprime_mod_p(a, b):
+        return _LP_ONE
     ra, rb = a, b
     while not rb.is_zero():
         ra, rb = rb, poly_divmod(ra, rb)[1]

@@ -152,3 +152,26 @@ def test_roundtrip_render_parse_via_cli(capsys):
     code2, out2, _ = run(capsys, "reduce-t2", out.strip())
     assert code2 == 0
     assert out2 == out
+
+
+def test_deep_nesting_exits_2(capsys):
+    for text in ("(" * 3000 + "(1,0)" + ")" * 3000, "1*" + "-" * 3000 + "(1,0)"):
+        code, out, err = run(capsys, "mul", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: line 1, column ")
+        assert len(err.splitlines()) == 1
+
+
+def test_box_below_1_exits_2(capsys, monkeypatch):
+    for argv in (["oracle-check", "--box", "-3"], ["selftest", "--box", "0"], ["closure-check", "--box", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --box must be at least 1, got {argv[-1]}\n"
+    monkeypatch.setenv("SKEINCALC_BOX", "-1")
+    for command in ("selftest", "oracle-check"):
+        code, out, err = run(capsys, command)
+        assert code == 2
+        assert out == ""
+        assert err == "error: SKEINCALC_BOX must be at least 1, got -1\n"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from skeincalc.expressions import ExpressionError, parse_element, parse_scalar
+from skeincalc.expressions import MAX_DEPTH, ExpressionError, parse_element, parse_scalar
 from skeincalc.ratfunc import LaurentPoly, RationalFunction, a_pow
 from skeincalc.torus2 import SkeinT2Element, commutator, curve, scalar
 
@@ -92,3 +92,113 @@ def test_render_parse_roundtrip_on_elements():
 def test_roundtrip_with_rational_coefficients():
     x = curve(1, 1).scale((a_pow(1) - a_pow(-1)).inverse()) + scalar(a_pow(-2))
     assert parse_element(str(x)) == x
+
+
+# ---- scalar subterms evaluate in Q(A); results match skein-algebra evaluation
+
+
+def test_scalar_mixed_and_zero_texts_give_elements():
+    one = RationalFunction.one()
+    s = SkeinT2Element.scalar
+    cases = {
+        "3*A^4 - 2/(A^2+1)": s(RationalFunction.from_int(3) * a_pow(4))
+        - s(RationalFunction.from_int(2) * (a_pow(2) + one).inverse()),
+        "A - A": SkeinT2Element.zero(),
+        "(A - A)*(1,0) + 0": SkeinT2Element.zero(),
+        "empty": SkeinT2Element.unit(),
+        "2*empty*(1,0)*A": curve(1, 0).scale(RationalFunction.from_int(2) * a_pow(1)),
+        "(1,0)*(A^2 - 1)/(A - 1) - A*(1,0)": curve(1, 0),
+        "(1,0)*(1,0) - (2,0) + A": s(RationalFunction.from_int(2) + a_pow(1)),
+        "-(-(A))*(0,1)/(1 + A)": curve(0, 1).scale(a_pow(1) * (a_pow(1) + one).inverse()),
+    }
+    for text, want in cases.items():
+        got = parse_element(text)
+        assert type(got) is SkeinT2Element, text
+        assert got == want, text
+        assert all(type(c) is RationalFunction for c in got.terms.values())
+    assert parse_scalar("A - A") == RationalFunction.zero()
+    assert parse_scalar("empty*(A + 1)") == a_pow(1) + RationalFunction.one()
+
+
+def _random_text(rng, depth):
+    """Seeded expression text and its value computed with skein-algebra operations only."""
+    kind = rng.randrange(9 if depth else 4)
+    if kind == 0:
+        n = rng.randint(0, 4)
+        return str(n), scalar(RationalFunction.from_int(n))
+    if kind == 1:
+        k = rng.randint(-3, 3)
+        return f"A^{k}", scalar(a_pow(k))
+    if kind == 2:
+        p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+        return f"({p},{q})", curve(p, q)
+    if kind == 3:
+        return "empty", SkeinT2Element.unit()
+    if kind == 4:
+        text, value = _random_text(rng, depth - 1)
+        return f"-({text})", -value
+    if kind == 5:
+        num, value = _random_text(rng, depth - 1)
+        den, divisor = _random_text(rng, depth - 1)
+        c = divisor.coeff(())
+        if divisor.support() - {()} or c.is_zero():
+            return num, value
+        return f"({num})/({den})", value.scale(c.inverse())
+    (lt, lv), (rt, rv) = _random_text(rng, depth - 1), _random_text(rng, depth - 1)
+    op = "+-*"[kind - 6]
+    value = lv + rv if op == "+" else lv - rv if op == "-" else lv * rv
+    return f"({lt}) {op} ({rt})", value
+
+
+def test_parse_matches_skein_evaluation_seeded():
+    rng = random.Random(15)
+    kinds = set()
+    for _ in range(400):
+        text, want = _random_text(rng, 4)
+        got = parse_element(text)
+        assert type(got) is SkeinT2Element
+        assert got == want, text
+        kinds.add("zero" if got.is_zero() else "scalar" if got.support() == {()} else "mixed")
+    assert kinds == {"zero", "scalar", "mixed"}
+
+
+# ---- error messages, lines and columns
+
+
+def test_error_messages_and_positions():
+    cases = [
+        ("1/0", 1, 2, "division by zero (near '/')"),
+        ("(1,0)/0", 1, 6, "division by zero (near '/')"),
+        ("(1,0)/(0,1)", 1, 6, "divisor must be a scalar (near '/')"),
+        ("(1,0)/(A - A)", 1, 6, "division by zero (near '/')"),
+        ("(1,0)/((1,0) - (1,0))", 1, 6, "division by zero (near '/')"),
+        ("1/(A^2-A^2)", 1, 2, "division by zero (near '/')"),
+        ("foo + (1,0)", 1, 1, "unknown name 'foo' (near 'foo')"),
+        ("1 +\n  bar", 2, 3, "unknown name 'bar' (near 'bar')"),
+        ("(1,0) +\n* (0,1)", 2, 1, "expected a number, 'A', 'empty', a curve label or '(' (near '*')"),
+        ("A^2 +\n\n  (1,0) @", 3, 9, "unexpected character '@'"),
+        ("((1,0)", 1, 7, "expected ')', found 'end of input'"),
+        ("A^", 1, 3, "expected an integer exponent, found 'end of input'"),
+        ("(1,0) (0,1)", 1, 7, "trailing input after expression (near '(')"),
+    ]
+    for text, line, col, message in cases:
+        with pytest.raises(ExpressionError) as err:
+            parse_element(text)
+        assert (err.value.line, err.value.col) == (line, col), text
+        assert str(err.value) == f"line {line}, column {col}: {message}"
+
+
+def test_nesting_depth_is_bounded():
+    deep = MAX_DEPTH + 1
+    assert parse_element("(" * MAX_DEPTH + "(1,0)" + ")" * MAX_DEPTH) == curve(1, 0)
+    assert parse_element("-" * MAX_DEPTH + "(1,0)") == curve(1, 0)
+    for text, col in [
+        ("(" * deep + "1" + ")" * deep, deep),
+        ("(" * 3000 + "(1,0)" + ")" * 3000, deep),
+        ("1*" + "-" * 3000 + "(1,0)", 2 + deep),
+        ("(-" * 60 + "A" + ")" * 60, deep),
+    ]:
+        with pytest.raises(ExpressionError) as err:
+            parse_element(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert f"nested deeper than {MAX_DEPTH} levels" in str(err.value)

@@ -258,3 +258,95 @@ def test_operations_match_sympy_normal_forms():
             cases += [(x / y, sx / sy), (y.inverse(), 1 / sy)]
         for got, expr in cases:
             assert ours(got) == normal_form(expr), (x, y, got)
+
+
+# ---- poly_gcd: the modular coprimality test against a plain Euclid
+
+P = (1 << 61) - 1  # the prime of the modular test in ratfunc
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd of {exponent: Fraction} maps by the textbook Euclid over Q."""
+
+    def deg(p):
+        return max(p) if p else -1
+
+    def rem(a, b):
+        a = dict(a)
+        db, lb = deg(b), b[deg(b)]
+        while a and deg(a) >= db:
+            da = deg(a)
+            q = a[da] / lb
+            for e, c in b.items():
+                k = e + da - db
+                a[k] = a.get(k, Fraction(0)) - q * c
+                if not a[k]:
+                    del a[k]
+        return a
+
+    while b:
+        a, b = b, rem(a, b)
+    if not a:
+        return {}
+    lc = a[deg(a)]
+    return {e: c / lc for e, c in a.items()}
+
+
+def _random_ordinary(rng, max_deg):
+    terms = {}
+    for e in range(rng.randint(0, max_deg) + 1):
+        if rng.random() < 0.7:
+            terms[e] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+    return LaurentPoly(terms)
+
+
+def test_poly_gcd_matches_plain_euclid():
+    rng = random.Random(13)
+    factors = [LaurentPoly(f) for f in _FACTORS] + [
+        LaurentPoly({0: Fraction(1, 3), 1: 2}),  # 2A + 1/3, non-monic with a fraction
+        LaurentPoly({0: -5, 2: 7}),  # 7A^2 - 5
+    ]
+    kinds = set()
+    for _ in range(800):
+        a, b = _random_ordinary(rng, 4), _random_ordinary(rng, 4)
+        if rng.random() < 0.5:  # plant a common factor
+            g = LaurentPoly.one()
+            for _ in range(rng.randint(1, 2)):
+                g = g * rng.choice(factors)
+            g = g.scale(Fraction(rng.choice((1, -2, 5)), rng.choice((1, 3))))
+            a, b = a * g, b * g
+        got = poly_gcd(a, b)
+        want = _euclid_gcd(a.terms, b.terms)
+        assert got.terms == want, (a, b)
+        kinds.add("trivial" if got.is_one() else "zero" if got.is_zero() else "nontrivial")
+    assert kinds == {"trivial", "nontrivial", "zero"}
+
+
+def _modulus_edge_pairs():
+    t = LaurentPoly({0: 1, 1: P})  # pA + 1: its leading coefficient vanishes mod p
+    u = LaurentPoly({0: Fraction(1, P), 1: 1})  # A + 1/p: a denominator divisible by p
+    return [
+        # Images A + 2 and A + 3 are coprime, but the degrees drop.
+        (t * LaurentPoly({0: 2, 1: 1}), t * LaurentPoly({0: 3, 1: 1}), u),
+        # A + 1/p against denominators prime to p.
+        (u * LaurentPoly({0: 2, 1: 1}), u * LaurentPoly({0: 3, 1: 1}), u),
+        # Sending 1/p to 0 would give the coprime images A^2 + 1 and A^2 + 2.
+        (u * LaurentPoly({0: P, 1: 1}), u * LaurentPoly({0: 2 * P, 1: 1}), u),
+    ]
+
+
+def test_poly_gcd_modulus_edges():
+    for a, b, g in _modulus_edge_pairs():
+        assert poly_gcd(a, b) == g
+        assert poly_gcd(b, a) == g
+        assert poly_gcd(a, b).terms == _euclid_gcd(a.terms, b.terms)
+
+
+def test_modulus_edges_reduce_through_constructor_and_parser():
+    for a, b, g in _modulus_edge_pairs():
+        x = RationalFunction(a, b)
+        _assert_canonical(x)
+        # a/b is (a/g)/(b/g) with b/g monic of degree 1.
+        assert x.den.max_exp() == 1
+        assert x * RationalFunction(b) == RationalFunction(a)
+        assert parse_scalar(f"({a})/({b})") == x
