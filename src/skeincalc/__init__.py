@@ -27,7 +27,6 @@ from .torus2 import (
     chebyshev_t,
     commutator,
     curve,
-    fg_product,
     framing_twist,
     scalar,
     t_to_jw,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .combination import Combination
 from .errors import VerificationError
 from .ratfunc import RationalFunction, a_pow
 from .torus2 import EMPTY, SkeinT2Element, canonical_pair, commutator, curve
@@ -32,65 +33,17 @@ def reduce_label(p: int, q: int) -> tuple[int, int]:
     return (pp, qq)
 
 
-class AbElement:
+class AbElement(Combination):
     """Finite Q(A)-combination of quotient classes."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple, RationalFunction] | None = None):
-        self.terms = (
-            {} if not terms else {k: c for k, c in terms.items() if not c.is_zero()}
-        )
-
-    @classmethod
-    def zero(cls) -> "AbElement":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, label: tuple) -> RationalFunction:
-        return self.terms.get(label, RationalFunction.zero())
-
-    def __add__(self, other: "AbElement") -> "AbElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return AbElement(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AbElement) and self.terms == other.terms
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for label in sorted(self.terms):
-            name = "empty" if not label else f"({label[0]},{label[1]})"
-            parts.append(f"({self.terms[label]})*{name}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"AbElement({self})"
+    __slots__ = ()
 
 
 def reduce_element(x: SkeinT2Element) -> AbElement:
     """Quotient map: collapse every label of x onto its class, linearly."""
-    out: dict[tuple, RationalFunction] = {}
-    for label, c in x.terms.items():
-        key = EMPTY if not label else reduce_label(*label)
-        acc = out.get(key)
-        acc = c if acc is None else acc + c
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return AbElement(out)
+    return AbElement.collect(
+        (reduce_label(*label) if label else EMPTY, c) for label, c in x.terms.items()
+    )
 
 
 @dataclass(frozen=True)

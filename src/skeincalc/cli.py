@@ -3,7 +3,8 @@
 Subcommands: mul, reduce-t2, abelianize, certify-ab, reduce-t3,
 common-curve, generators, grade, oracle-check, closure-check, selftest.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse error.  Sweep commands take
+1 verification failure, 2 usage or parse error.  oracle-check,
+closure-check and selftest run the sweeps of skeincalc.checks and take
 --box N; the SKEINCALC_BOX environment variable overrides the default.
 A box below 1, from either source, is a usage error.
 """
@@ -12,16 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import random
 import sys
 
-from . import abelianize, torus2, torus3
+from . import abelianize, checks, torus3
 from .errors import VerificationError
 from .expressions import ExpressionError, parse_element
-from .quantum_torus import embed_element
-from .torus2 import SkeinT2Element, chebyshev_t, curve, t_to_jw
 from .torus3 import Curve3, StandardEmbedding
 
 
@@ -62,169 +59,6 @@ def _emit_element(x, as_json: bool) -> None:
         print(json.dumps({"terms": _element_terms(x)}, indent=2))
     else:
         print(x)
-
-
-# ---------------------------------------------------------------- sweeps
-
-
-def oracle_sweep(box: int):
-    """Compare the curve product against the quantum-torus product on a box.
-
-    Returns (comparisons, first mismatch or None); the count is
-    (2*box+1)^4 label pairs.
-    """
-    rng = range(-box, box + 1)
-    labels = [(p, q) for p in rng for q in rng]
-    images = {lab: embed_element(curve(*lab)) for lab in labels}
-    comparisons = 0
-    for a in labels:
-        xa = curve(*a)
-        pa = images[a]
-        for b in labels:
-            comparisons += 1
-            lhs = embed_element(xa * curve(*b))
-            if lhs != pa * images[b]:
-                return comparisons, (a, b)
-    return comparisons, None
-
-
-def associativity_sweep(count: int, box: int, seed: int = 11):
-    rng = random.Random(seed)
-    for _ in range(count):
-        a, b, c = (
-            curve(rng.randint(-box, box), rng.randint(-box, box)) for _ in range(3)
-        )
-        if (a * b) * c != a * (b * c):
-            return (a, b, c)
-    return None
-
-
-def chebyshev_sweep(box: int, max_n: int):
-    for p in range(-box, box + 1):
-        for q in range(-box, box + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            for n in range(max_n + 1):
-                if chebyshev_t(n, (p, q)) != curve(n * p, n * q):
-                    return (p, q, n)
-    return None
-
-
-def jw_basis_sweep(max_n: int):
-    # Independent model: explicit polynomials in a commuting variable.
-    t_polys = [{0: 2}, {1: 1}]
-    s_polys = [{0: 1}, {1: 1}]
-    for _ in range(max_n):
-        for fam in (t_polys, s_polys):
-            nxt = {e + 1: c for e, c in fam[-1].items()}
-            for e, c in fam[-2].items():
-                nxt[e] = nxt.get(e, 0) - c
-            fam.append({e: c for e, c in nxt.items() if c})
-    for n in range(max_n + 1):
-        combo: dict[int, int] = {}
-        for level, coef in t_to_jw(n).items():
-            for e, c in s_polys[level].items():
-                combo[e] = combo.get(e, 0) + coef * c
-        if {e: c for e, c in combo.items() if c} != t_polys[n]:
-            return n
-    return None
-
-
-def closure_sweep(box: int):
-    part = abelianize.closure_check(box)
-    if len(part) != 4:
-        return f"box {box}: {len(part)} classes, expected 4"
-    root_of = {}
-    for rep, members in part.items():
-        for m in members:
-            root_of[m] = rep
-    for pt, rep in root_of.items():
-        if abelianize.reduce_label(*pt) != abelianize.reduce_label(*rep):
-            return f"box {box}: {pt} grouped with {rep}, parities differ"
-    return None
-
-
-def certificate_sweep(box: int):
-    for p in range(-box, box + 1):
-        for q in range(-box, box + 1):
-            if (p, q) == (0, 0):
-                continue
-            abelianize.verify_certificate(abelianize.certificate(p, q))
-    return None
-
-
-def reduction_sweep(box: int):
-    count = 0
-    for p in range(-box, box + 1):
-        for q in range(-box, box + 1):
-            for r in range(-box, box + 1):
-                if math.gcd(p, q, r) != 1:
-                    continue
-                count += 1
-                c = Curve3.of(p, q, r)
-                canonical, cert = torus3.reduce_curve(c)
-                if canonical.coords != c.parities():
-                    raise VerificationError(f"{c} reduced to {canonical}")
-                torus3.replay_certificate(cert)
-    return count
-
-
-def _random_unimodular(rng: random.Random) -> list[list[int]]:
-    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    for _ in range(8):
-        i, j = rng.sample(range(3), 2)
-        k = rng.randint(-3, 3)
-        for col in range(3):
-            m[i][col] += k * m[j][col]
-    return m
-
-
-def random_embedding(rng: random.Random) -> StandardEmbedding:
-    cols = rng.sample((1, 2, 3), 2)
-    return StandardEmbedding(_random_unimodular(rng), tuple(cols))
-
-
-def _dot(u, v) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def intersection_sweep(count: int, seed: int = 23):
-    rng = random.Random(seed)
-    done = 0
-    while done < count:
-        e1, e2 = random_embedding(rng), random_embedding(rng)
-        if torus3.cross(e1.normal(), e2.normal()) == (0, 0, 0):
-            continue
-        w = torus3.common_curve(e1, e2)
-        if _dot(w.coords, e1.normal()) or _dot(w.coords, e2.normal()):
-            raise VerificationError(f"{w} not orthogonal to both normals")
-        if math.gcd(*w.coords) != 1:
-            raise VerificationError(f"{w} is not primitive")
-        done += 1
-    return done
-
-
-def random_coprime_triple(rng: random.Random, bound: int = 20) -> Curve3:
-    while True:
-        p, q, r = (rng.randint(-bound, bound) for _ in range(3))
-        if math.gcd(p, q, r) == 1:
-            return Curve3.of(p, q, r)
-
-
-def diffeo_sweep(count: int, seed: int = 31):
-    rng = random.Random(seed)
-    curves = [g.curve for g in torus3.generators() if g.kind == "curve"]
-    curves += [random_coprime_triple(rng) for _ in range(count)]
-    for c in curves:
-        m = torus3.find_diffeo(c)
-        if torus3.mat_det(m) != 1:
-            raise VerificationError(f"matrix for {c} has determinant {torus3.mat_det(m)}")
-        if torus3.mat_vec(m, c.coords) != (1, 0, 0):
-            raise VerificationError(f"matrix for {c} does not send it to (1,0,0)")
-    return len(curves)
-
-
-# ---------------------------------------------------------------- commands
 
 
 def cmd_mul(args) -> int:
@@ -343,7 +177,7 @@ def cmd_grade(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     box = _box(args, 3)
-    comparisons, mismatch = oracle_sweep(box)
+    comparisons, mismatch = checks.oracle_sweep(box)
     if mismatch is not None:
         print(f"oracle mismatch at labels {mismatch[0]} * {mismatch[1]}", file=sys.stderr)
         return 1
@@ -360,7 +194,7 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_closure_check(args) -> int:
     box = _box(args, 6)
-    problem = closure_sweep(box)
+    problem = checks.closure_sweep(box)
     if problem is not None:
         print(f"closure mismatch: {problem}", file=sys.stderr)
         return 1
@@ -376,34 +210,34 @@ def cmd_selftest(args) -> int:
     box = _box(args, 3)
 
     def run_oracle():
-        comparisons, mismatch = oracle_sweep(box)
+        comparisons, mismatch = checks.oracle_sweep(box)
         return (f"mismatch at {mismatch}" if mismatch else None, f"{comparisons} pairs")
 
     def run_assoc():
-        bad = associativity_sweep(200, 10)
+        bad = checks.associativity_sweep(200, 10)
         return (f"counterexample {bad}" if bad else None, "200 triples")
 
     def run_cheb():
-        bad = chebyshev_sweep(3, 8)
+        bad = checks.chebyshev_sweep(3, 8)
         return (f"counterexample {bad}" if bad else None, "box 3, n <= 8")
 
     def run_jw():
-        bad = jw_basis_sweep(20)
+        bad = checks.jw_basis_sweep(20)
         return (f"fails at n={bad}" if bad is not None else None, "n <= 20")
 
     def run_closure():
         for n in range(2, 7):
-            problem = closure_sweep(n)
+            problem = checks.closure_sweep(n)
             if problem:
                 return problem, ""
         return None, "boxes 2..6"
 
     def run_certs():
-        certificate_sweep(4)
+        checks.certificate_sweep(4)
         return None, "box 4"
 
     def run_reduce():
-        count = reduction_sweep(5)
+        count = checks.reduction_sweep(5)
         return None, f"{count} curves (box 5)"
 
     def run_generators():
@@ -413,14 +247,14 @@ def cmd_selftest(args) -> int:
         return (None if ok else "generator list malformed"), "9 elements"
 
     def run_diffeo():
-        count = diffeo_sweep(100)
+        count = checks.diffeo_sweep(100)
         return None, f"{count} curves"
 
     def run_intersections():
-        count = intersection_sweep(100)
+        count = checks.intersection_sweep(100)
         return None, f"{count} pairs"
 
-    checks = [
+    table = [
         ("oracle homomorphism", run_oracle),
         ("product associativity", run_assoc),
         ("chebyshev labels", run_cheb),
@@ -434,11 +268,13 @@ def cmd_selftest(args) -> int:
     ]
     results = []
     failed = False
-    for name, fn in checks:
+    for name, fn in table:
         try:
             problem, detail = fn()
         except (VerificationError, AssertionError) as exc:
             problem, detail = str(exc), ""
+        except Exception as exc:  # any other fault is this check's FAIL row
+            problem, detail = f"{type(exc).__name__}: {exc}", ""
         ok = problem is None
         failed = failed or not ok
         results.append({"name": name, "pass": ok, "detail": problem or detail})

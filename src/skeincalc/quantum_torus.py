@@ -15,22 +15,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .combination import Combination
 from .ratfunc import RationalFunction, a_pow
 
 
-class QTorusElement:
+class QTorusElement(Combination):
     """Finite Q(A)-combination of normal-ordered monomials l^p m^q."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], RationalFunction] | None = None):
-        self.terms = (
-            {} if not terms else {k: c for k, c in terms.items() if not c.is_zero()}
-        )
-
-    @classmethod
-    def zero(cls) -> "QTorusElement":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def scalar(cls, coeff: RationalFunction) -> "QTorusElement":
@@ -44,48 +36,13 @@ class QTorusElement:
     def monomial(cls, p: int, q: int, coeff: RationalFunction | None = None) -> "QTorusElement":
         return cls({(p, q): coeff if coeff is not None else RationalFunction.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scale(self, coeff: RationalFunction) -> "QTorusElement":
-        if coeff.is_zero():
-            return QTorusElement()
-        return QTorusElement({k: c * coeff for k, c in self.terms.items()})
-
-    def __add__(self, other: "QTorusElement") -> "QTorusElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return QTorusElement(out)
-
-    def __sub__(self, other: "QTorusElement") -> "QTorusElement":
-        return self + (-other)
-
-    def __neg__(self) -> "QTorusElement":
-        return QTorusElement({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other: "QTorusElement") -> "QTorusElement":
         # (l^p m^q)(l^r m^s) = A^(-2qr) l^(p+r) m^(q+s)
-        out: dict[tuple[int, int], RationalFunction] = {}
-        for (p, q), ca in self.terms.items():
-            for (r, s), cb in other.terms.items():
-                key = (p + r, q + s)
-                c = ca * cb * a_pow(-2 * q * r)
-                acc = out.get(key)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return QTorusElement(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QTorusElement) and self.terms == other.terms
+        return QTorusElement.collect(
+            ((p + r, q + s), ca * cb * a_pow(-2 * q * r))
+            for (p, q), ca in self.terms.items()
+            for (r, s), cb in other.terms.items()
+        )
 
     def __str__(self) -> str:
         if not self.terms:
@@ -94,9 +51,6 @@ class QTorusElement:
             f"({self.terms[k]})*l^{k[0]}*m^{k[1]}"
             for k in sorted(self.terms, reverse=True)
         )
-
-    def __repr__(self) -> str:
-        return f"QTorusElement({self})"
 
 
 @lru_cache(maxsize=None)
@@ -116,17 +70,13 @@ def embed_curve(p: int, q: int) -> QTorusElement:
 
 def embed_element(x) -> QTorusElement:
     """Linear extension of embed_curve to whole skein elements; empty maps to 1."""
-    total: dict[tuple[int, int], RationalFunction] = {}
-    for label, coeff in x.terms.items():
-        if not label:
-            img = {(0, 0): coeff}
-        else:
-            img = {k: coeff * c for k, c in embed_curve(*label).terms.items()}
-        for k, c in img.items():
-            acc = total.get(k)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                total.pop(k, None)
-            else:
-                total[k] = acc
-    return QTorusElement(total)
+
+    def images():
+        for label, coeff in x.terms.items():
+            if not label:
+                yield (0, 0), coeff
+                continue
+            for k, c in embed_curve(*label).terms.items():
+                yield k, coeff * c
+
+    return QTorusElement.collect(images())

@@ -181,6 +181,9 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
     def __str__(self) -> str:
         # Terms in strictly decreasing exponent order; exponent 0 omitted;
         # coefficient +-1 rendered without the digit.
@@ -403,10 +406,6 @@ class RationalFunction:
     def from_int(cls, n: int) -> "RationalFunction":
         return cls(LaurentPoly.constant(n))
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "RationalFunction":
-        return cls(LaurentPoly.constant(f))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -464,6 +463,9 @@ class RationalFunction:
             and self.num == other.num
             and self.den == other.den
         )
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         if self.den.is_one():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 
+from .combination import Combination
 from .ratfunc import RationalFunction, a_pow
 
 EMPTY: tuple = ()
@@ -35,19 +36,10 @@ def canonical_pair(p: int, q: int) -> tuple[int, int]:
     return (-p, -q)
 
 
-class SkeinT2Element:
+class SkeinT2Element(Combination):
     """Finite Q(A)-combination of curve labels, in canonical form."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple, RationalFunction] | None = None):
-        self.terms = (
-            {} if not terms else {k: c for k, c in terms.items() if not c.is_zero()}
-        )
-
-    @classmethod
-    def zero(cls) -> "SkeinT2Element":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> "SkeinT2Element":
@@ -64,83 +56,26 @@ class SkeinT2Element:
             return cls({EMPTY: RationalFunction.from_int(2)})
         return cls({canonical_pair(p, q): RationalFunction.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, label: tuple) -> RationalFunction:
-        return self.terms.get(label, RationalFunction.zero())
-
-    def support(self) -> set:
-        return set(self.terms)
-
-    def scale(self, coeff: RationalFunction) -> "SkeinT2Element":
-        if coeff.is_zero():
-            return SkeinT2Element()
-        return SkeinT2Element({k: c * coeff for k, c in self.terms.items()})
-
-    def __add__(self, other: "SkeinT2Element") -> "SkeinT2Element":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return SkeinT2Element(out)
-
-    def __sub__(self, other: "SkeinT2Element") -> "SkeinT2Element":
-        return self + (-other)
-
-    def __neg__(self) -> "SkeinT2Element":
-        return SkeinT2Element({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other: "SkeinT2Element") -> "SkeinT2Element":
-        out: dict[tuple, RationalFunction] = {}
+        def products():
+            for la, ca in self.terms.items():
+                for lb, cb in other.terms.items():
+                    c = ca * cb
+                    if not (la and lb):  # the empty link is the unit
+                        yield la or lb, c
+                        continue
+                    p, q = la
+                    r, s = lb
+                    d = p * s - q * r
+                    for sign in (1, -1):
+                        u, v = p + sign * r, q + sign * s
+                        cc = c * a_pow(sign * d)
+                        if u == 0 and v == 0:
+                            yield EMPTY, cc + cc
+                        else:
+                            yield canonical_pair(u, v), cc
 
-        def put(label: tuple, c: RationalFunction) -> None:
-            acc = out.get(label)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(label, None)
-            else:
-                out[label] = acc
-
-        for la, ca in self.terms.items():
-            for lb, cb in other.terms.items():
-                c = ca * cb
-                if not la:
-                    put(lb, c)
-                    continue
-                if not lb:
-                    put(la, c)
-                    continue
-                p, q = la
-                r, s = lb
-                d = p * s - q * r
-                for sign in (1, -1):
-                    u, v = p + sign * r, q + sign * s
-                    cc = c * a_pow(sign * d)
-                    if u == 0 and v == 0:
-                        put(EMPTY, cc + cc)
-                    else:
-                        put(canonical_pair(u, v), cc)
-        return SkeinT2Element(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SkeinT2Element) and self.terms == other.terms
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for label in sorted(self.terms):
-            name = "empty" if not label else f"({label[0]},{label[1]})"
-            parts.append(f"({self.terms[label]})*{name}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SkeinT2Element({self})"
+        return SkeinT2Element.collect(products())
 
 
 def curve(p: int, q: int) -> SkeinT2Element:
@@ -149,10 +84,6 @@ def curve(p: int, q: int) -> SkeinT2Element:
 
 def scalar(coeff: RationalFunction) -> SkeinT2Element:
     return SkeinT2Element.scalar(coeff)
-
-
-def fg_product(x: SkeinT2Element, y: SkeinT2Element) -> SkeinT2Element:
-    return x * y
 
 
 def chebyshev_t(n: int, gamma: tuple[int, int]) -> SkeinT2Element:
@@ -176,45 +107,23 @@ def chebyshev_t(n: int, gamma: tuple[int, int]) -> SkeinT2Element:
     return cur
 
 
-def _poly_x_times(poly: dict[int, int]) -> dict[int, int]:
-    return {e + 1: c for e, c in poly.items()}
-
-
-def _poly_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
-
-
 def t_to_jw(n: int) -> dict[int, int]:
     """Coefficients expressing T_n in the Jones-Wenzl (second-kind) basis.
 
-    Both families satisfy the same recursion in a commuting variable x,
-    with T_0 = 2, S_0 = 1 and T_1 = S_1 = x; the returned map {level:
-    coefficient} gives T_n = sum c_k S_k and is found by eliminating the
-    leading degree with the explicit S polynomials.
+    Returns {level: coefficient} with T_n = sum c_k S_k, namely T_0 = 2 S_0,
+    T_1 = S_1 and T_n = S_n - S_(n-2) for n >= 2.  Both families satisfy
+    P_(n+1) = x P_n - P_(n-1) in a commuting variable x, with T_0 = 2,
+    S_0 = 1 and T_1 = S_1 = x.  Run backwards, the recursion gives
+    S_-1 = 0 and S_-2 = -1, so S_n - S_(n-2) satisfies it too and starts
+    from 1 - (-1) = 2 = T_0 and x - 0 = T_1; hence it is T_n for every n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t_prev, t_cur = {0: 2}, {1: 1}
-    s_polys = [{0: 1}, {1: 1}]
-    for _ in range(n):
-        t_prev, t_cur = t_cur, _poly_sub(_poly_x_times(t_cur), t_prev)
-        s_polys.append(_poly_sub(_poly_x_times(s_polys[-1]), s_polys[-2]))
-    coeffs: dict[int, int] = {}
-    rem = dict(t_prev)  # t_prev is now T_n
-    for k in range(n, -1, -1):
-        c = rem.get(k, 0)
-        if c:
-            coeffs[k] = c
-            rem = _poly_sub(rem, {e: c * sc for e, sc in s_polys[k].items()})
-    assert not rem, "second-kind basis elimination left a remainder"
-    return coeffs
+    if n == 0:
+        return {0: 2}
+    if n == 1:
+        return {1: 1}
+    return {n: 1, n - 2: -1}
 
 
 def framing_twist(x: SkeinT2Element, k: int) -> SkeinT2Element:

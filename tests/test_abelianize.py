@@ -54,6 +54,12 @@ def test_certificate_already_canonical():
     verify_certificate(cert)
 
 
+def test_certificate_steps_are_hashable():
+    steps = certificate(7, 9).steps
+    assert hash(steps[0]) == hash(certificate(7, 9).steps[0])
+    assert len(set(steps)) == len(steps)
+
+
 def test_certificate_single_step_example():
     cert = certificate(3, 1)
     assert len(cert.steps) == 1

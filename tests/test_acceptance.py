@@ -4,32 +4,26 @@ Each test prints one pass line (visible with pytest -s or in the -rA
 summary); any mismatch fails the assertion with a counterexample.
 """
 
-import math
-import random
 import time
 
-from skeincalc.abelianize import (
-    certificate,
-    closure_check,
-    reduce_label,
-    verify_certificate,
+from skeincalc.checks import (
+    associativity_sweep,
+    certificate_sweep,
+    chebyshev_sweep,
+    closure_sweep,
+    diffeo_sweep,
+    intersection_sweep,
+    jw_basis_sweep,
+    oracle_sweep,
+    reduction_sweep,
 )
-from skeincalc.cli import random_coprime_triple, random_embedding
-from skeincalc.quantum_torus import embed_element
-from skeincalc.torus2 import chebyshev_t, curve, t_to_jw
 from skeincalc.torus3 import (
     Curve3,
+    StandardEmbedding,
     common_curve,
-    cross,
-    find_diffeo,
     generators,
     grade_decompose,
-    mat_det,
-    mat_vec,
-    reduce_curve,
-    replay_certificate,
     trivial_embedding,
-    StandardEmbedding,
 )
 
 
@@ -40,99 +34,44 @@ def _report(number, name, detail):
 def test_criterion_1_oracle_equivalence():
     box = 8
     started = time.time()
-    rng = range(-box, box + 1)
-    labels = [(p, q) for p in rng for q in rng]
-    images = {lab: embed_element(curve(*lab)) for lab in labels}
-    comparisons = 0
-    for a in labels:
-        xa = curve(*a)
-        pa = images[a]
-        for b in labels:
-            comparisons += 1
-            assert embed_element(xa * curve(*b)) == pa * images[b], (a, b)
+    comparisons, mismatch = oracle_sweep(box)
     elapsed = time.time() - started
+    assert mismatch is None, mismatch
     assert comparisons == (2 * box + 1) ** 4
     _report(1, "oracle equivalence", f"{comparisons} pairs, 0 mismatches, {elapsed:.1f}s")
 
 
 def test_criterion_2_associativity():
-    rng = random.Random(20250809)
-    checked = 0
-    for _ in range(1000):
-        a, b, c = (
-            curve(rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(3)
-        )
-        assert (a * b) * c == a * (b * c)
-        checked += 1
-    _report(2, "associativity", f"{checked} seeded triples, 0 mismatches")
+    assert associativity_sweep(1000, 10, seed=20250809) is None
+    _report(2, "associativity", "1000 seeded triples, 0 mismatches")
 
 
 def test_criterion_3_chebyshev_consistency():
-    pairs = 0
-    for p in range(-5, 6):
-        for q in range(-5, 6):
-            if math.gcd(p, q) != 1:
-                continue
-            pairs += 1
-            for n in range(13):
-                assert chebyshev_t(n, (p, q)) == curve(n * p, n * q), (p, q, n)
+    assert chebyshev_sweep(5, 12) is None
     # second-kind basis against the commuting-polynomial oracle
-    t_polys = [{0: 2}, {1: 1}]
-    s_polys = [{0: 1}, {1: 1}]
-    for _ in range(20):
-        for fam in (t_polys, s_polys):
-            nxt = {e + 1: c for e, c in fam[-1].items()}
-            for e, c in fam[-2].items():
-                nxt[e] = nxt.get(e, 0) - c
-            fam.append({e: c for e, c in nxt.items() if c})
-    for n in range(21):
-        combo = {}
-        for level, coef in t_to_jw(n).items():
-            for e, c in s_polys[level].items():
-                combo[e] = combo.get(e, 0) + coef * c
-        assert {e: c for e, c in combo.items() if c} == t_polys[n], n
-    _report(3, "chebyshev consistency", f"{pairs} coprime pairs, n<=12; basis n<=20")
+    assert jw_basis_sweep(20) is None
+    _report(3, "chebyshev consistency", "coprime pairs in box 5, n<=12; basis n<=20")
 
 
 def test_criterion_4_abelianization_closure():
     for n in range(2, 7):
-        part = closure_check(n)
-        assert len(part) == 4, (n, len(part))
-        for rep, members in part.items():
-            want = reduce_label(*rep)
-            for m in members:
-                assert reduce_label(*m) == want, (n, m, rep)
+        assert closure_sweep(n) is None
     _report(4, "abelianization closure", "boxes 2..6, 4 parity classes each")
 
 
 def test_criterion_5_commutator_certificates():
-    count = 0
-    for p in range(-6, 7):
-        for q in range(-6, 7):
-            if (p, q) == (0, 0):
-                continue
-            cert = certificate(p, q)
-            verify_certificate(cert)  # includes full telescoping expansion
-            count += 1
+    # verify_certificate includes the full telescoping expansion
+    count = certificate_sweep(6)
+    assert count == 168
     _report(5, "commutator certificates", f"{count} labels, 0 failures")
 
 
 def test_criterion_6_curve_reduction():
     started = time.time()
-    count = 0
-    for p in range(-9, 10):
-        for q in range(-9, 10):
-            for r in range(-9, 10):
-                if math.gcd(p, q, r) != 1:
-                    continue
-                c = Curve3.of(p, q, r)
-                canonical, cert = reduce_curve(c)
-                assert canonical.coords == c.parities(), c
-                for step in cert.steps:
-                    assert mat_det(step.embedding.matrix) == 1
-                replay_certificate(cert)  # replays pushes and parity checks
-                count += 1
+    # replay_certificate re-checks every step's determinant, pushes and parities
+    count = reduction_sweep(9)
     elapsed = time.time() - started
+    assert count == 5762
     _report(6, "curve reduction", f"{count} coprime triples, 0 failures, {elapsed:.1f}s")
 
 
@@ -154,14 +93,9 @@ def test_criterion_7_generators():
 
 
 def test_criterion_8_diffeomorphism():
-    cases = [g.curve for g in generators() if g.kind == "curve"]
-    rng = random.Random(20250810)
-    cases += [random_coprime_triple(rng) for _ in range(500)]
-    for c in cases:
-        m = find_diffeo(c)
-        assert mat_det(m) == 1, c
-        assert mat_vec(m, c.coords) == (1, 0, 0), c
-    _report(8, "diffeomorphism", f"{len(cases)} curves (7 canonical + 500 random)")
+    count = diffeo_sweep(500, seed=20250810)
+    assert count == 507
+    _report(8, "diffeomorphism", f"{count} curves (7 canonical + 500 random)")
 
 
 def test_criterion_9_intersection():
@@ -171,15 +105,5 @@ def test_criterion_9_intersection():
     assert e2.normal() == (1, 2, 3)
     assert common_curve(e1, e2) == Curve3.of(-2, 1, 0)
 
-    rng = random.Random(20250811)
-    done = 0
-    while done < 500:
-        f1, f2 = random_embedding(rng), random_embedding(rng)
-        if cross(f1.normal(), f2.normal()) == (0, 0, 0):
-            continue
-        w = common_curve(f1, f2)
-        for n in (f1.normal(), f2.normal()):
-            assert sum(a * b for a, b in zip(w.coords, n)) == 0, (w, n)
-        assert math.gcd(*w.coords) == 1
-        done += 1
+    assert intersection_sweep(500, seed=20250811) == 500
     _report(9, "intersection", "worked case + 500 random distinct pairs")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from skeincalc import checks
 from skeincalc.cli import main
 
 
@@ -132,6 +133,27 @@ def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "--box", "2")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_raising_check_and_finishes(capsys, monkeypatch):
+    def broken(box):
+        raise RuntimeError("sweep crashed")
+
+    monkeypatch.setattr(checks, "reduction_sweep", broken)
+    code, out, err = run(capsys, "selftest", "--box", "1")
+    rows = out.splitlines()
+    assert code == 1 and err == ""
+    assert len(rows) == 10
+    assert [row for row in rows if "FAIL" in row] == [
+        "3-torus reduction            FAIL  (RuntimeError: sweep crashed)"
+    ]
+    code, out, err = run(capsys, "selftest", "--box", "1", "--json")
+    doc = json.loads(out)
+    assert code == 1 and err == "" and doc["pass"] is False
+    assert len(doc["checks"]) == 10
+    assert [c for c in doc["checks"] if not c["pass"]] == [
+        {"name": "3-torus reduction", "pass": False, "detail": "RuntimeError: sweep crashed"}
+    ]
 
 
 def test_parse_error_exit_code(capsys):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from skeincalc.quantum_torus import QTorusElement, embed_curve, embed_element
 from skeincalc.ratfunc import RationalFunction, a_pow
 from skeincalc.torus2 import curve
@@ -45,6 +47,13 @@ def test_associativity_random_monomials():
 
 def test_embed_scalar_case():
     assert embed_curve(0, 0) == QTorusElement.scalar(RationalFunction.from_int(2))
+
+
+def test_cached_embedding_is_read_only():
+    img = embed_curve(1, 0)
+    with pytest.raises(TypeError):
+        img.terms[(0, 0)] = RationalFunction.one()
+    assert embed_curve(1, 0) == mono(1, 0) + mono(-1, 0)
 
 
 def test_embed_zero_determinant_case():

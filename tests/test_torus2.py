@@ -33,6 +33,15 @@ def test_make_curve_keeps_labels_undivided():
     assert curve(2, 4).terms == {(2, 4): RationalFunction.one()}
 
 
+def test_elements_are_read_only_and_hashable():
+    x = curve(1, 0)
+    with pytest.raises(TypeError):
+        x.terms[(0, 1)] = RationalFunction.one()
+    assert x == curve(1, 0)
+    assert hash(curve(1, 0)) == hash(curve(-1, 0))
+    assert len({curve(1, 0), curve(-1, 0), curve(0, 1)}) == 2
+
+
 def test_canonical_pair_rejects_origin():
     with pytest.raises(ValueError):
         canonical_pair(0, 0)
