@@ -1,11 +1,14 @@
 """The sweeps: exhaustive or seeded checks of the package's claims.
 
-Each sweep checks one claim over a box of labels or a seeded sample and
-returns its first counterexample (None if there is none), the number of
-cases it checked, or both; a defective certificate or construction raises
-VerificationError.  The oracle-check, closure-check and selftest commands
-and the acceptance suite run these sweeps.  The random generators draw
-from the caller's random.Random, so every seeded sweep is reproducible.
+Each sweep checks one claim over a box of labels or a seeded sample.  It
+returns the number of cases it checked, with its first counterexample
+(None if there is none) where a case can fail without raising; a count
+of 0 means the sweep proved nothing.  closure_sweep returns only a
+problem string or None.  A defective certificate or construction raises
+VerificationError.  The oracle-check, closure-check and selftest
+commands and the acceptance suite run these sweeps.  The random
+generators draw from the caller's random.Random, so every seeded sweep
+is reproducible.
 """
 
 from __future__ import annotations
@@ -42,28 +45,42 @@ def oracle_sweep(box: int):
 
 
 def associativity_sweep(count: int, box: int, seed: int = 11):
+    """Check (a*b)*c == a*(b*c) on seeded label triples.
+
+    Returns (triples checked, first failing triple or None).
+    """
     rng = random.Random(seed)
-    for _ in range(count):
+    for i in range(count):
         a, b, c = (
             curve(rng.randint(-box, box), rng.randint(-box, box)) for _ in range(3)
         )
         if (a * b) * c != a * (b * c):
-            return (a, b, c)
-    return None
+            return i + 1, (a, b, c)
+    return max(count, 0), None
 
 
 def chebyshev_sweep(box: int, max_n: int):
+    """Check T_n of each primitive label (p, q) in the box against (np, nq).
+
+    Returns (cases checked, first failing (p, q, n) or None).
+    """
+    checked = 0
     for p in range(-box, box + 1):
         for q in range(-box, box + 1):
             if math.gcd(p, q) != 1:
                 continue
             for n in range(max_n + 1):
+                checked += 1
                 if chebyshev_t(n, (p, q)) != curve(n * p, n * q):
-                    return (p, q, n)
-    return None
+                    return checked, (p, q, n)
+    return checked, None
 
 
 def jw_basis_sweep(max_n: int):
+    """Check the T-to-S basis change for n <= max_n against polynomials.
+
+    Returns (degrees checked, first failing n or None).
+    """
     # Independent model: explicit polynomials in a commuting variable.
     t_polys = [{0: 2}, {1: 1}]
     s_polys = [{0: 1}, {1: 1}]
@@ -79,8 +96,8 @@ def jw_basis_sweep(max_n: int):
             for e, c in s_polys[level].items():
                 combo[e] = combo.get(e, 0) + coef * c
         if {e: c for e, c in combo.items() if c} != t_polys[n]:
-            return n
-    return None
+            return n + 1, n
+    return max(max_n + 1, 0), None
 
 
 def closure_sweep(box: int):

@@ -206,24 +206,31 @@ def cmd_closure_check(args) -> int:
     return 0
 
 
+def _swept(count: int, noun: str, problem: str | None = None):
+    # A selftest row for a sweep: a sweep that checked no case fails.
+    if problem is None and not count:
+        problem = "checked no cases"
+    return problem, f"{count} {noun}"
+
+
 def cmd_selftest(args) -> int:
     box = _box(args, 3)
 
     def run_oracle():
         comparisons, mismatch = checks.oracle_sweep(box)
-        return (f"mismatch at {mismatch}" if mismatch else None, f"{comparisons} pairs")
+        return _swept(comparisons, "pairs", f"mismatch at {mismatch}" if mismatch else None)
 
     def run_assoc():
-        bad = checks.associativity_sweep(200, 10)
-        return (f"counterexample {bad}" if bad else None, "200 triples")
+        count, bad = checks.associativity_sweep(200, 10)
+        return _swept(count, "triples", f"counterexample {bad}" if bad else None)
 
     def run_cheb():
-        bad = checks.chebyshev_sweep(3, 8)
-        return (f"counterexample {bad}" if bad else None, "box 3, n <= 8")
+        count, bad = checks.chebyshev_sweep(3, 8)
+        return _swept(count, "cases in box 3, n <= 8", f"counterexample {bad}" if bad else None)
 
     def run_jw():
-        bad = checks.jw_basis_sweep(20)
-        return (f"fails at n={bad}" if bad is not None else None, "n <= 20")
+        count, bad = checks.jw_basis_sweep(20)
+        return _swept(count, "degrees, n <= 20", f"fails at n={bad}" if bad is not None else None)
 
     def run_closure():
         for n in range(2, 7):
@@ -233,12 +240,10 @@ def cmd_selftest(args) -> int:
         return None, "boxes 2..6"
 
     def run_certs():
-        checks.certificate_sweep(4)
-        return None, "box 4"
+        return _swept(checks.certificate_sweep(4), "labels in box 4")
 
     def run_reduce():
-        count = checks.reduction_sweep(5)
-        return None, f"{count} curves (box 5)"
+        return _swept(checks.reduction_sweep(5), "curves (box 5)")
 
     def run_generators():
         gens = torus3.generators()
@@ -247,12 +252,10 @@ def cmd_selftest(args) -> int:
         return (None if ok else "generator list malformed"), "9 elements"
 
     def run_diffeo():
-        count = checks.diffeo_sweep(100)
-        return None, f"{count} curves"
+        return _swept(checks.diffeo_sweep(100), "curves")
 
     def run_intersections():
-        count = checks.intersection_sweep(100)
-        return None, f"{count} pairs"
+        return _swept(checks.intersection_sweep(100), "pairs")
 
     table = [
         ("oracle homomorphism", run_oracle),

@@ -85,9 +85,9 @@ def tokenize(source: str) -> list[Token]:
             col = 1
             continue
         start = col
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() accepts
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", source[i:j], line, start))
             col += j - i
@@ -113,13 +113,15 @@ def tokenize(source: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # peek looks at most 3 tokens ahead, for a curve label's "( - INT ,",
+        # and advance never moves past EOF; three more copies of EOF keep
+        # every lookahead inside the list.
+        self.tokens = tokens + [tokens[-1]] * 3
         self.pos = 0
         self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        k = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[k]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]

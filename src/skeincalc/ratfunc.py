@@ -9,13 +9,22 @@ nonconstant factor with the numerator; any net power of A is carried by
 the numerator, and zero is always 0/1.  Under these rules every value has
 one representation, so equality never needs simplification.
 
-Only the public RationalFunction constructor reduces an arbitrary pair,
-with one gcd of the whole numerator and denominator.  The field
-operations start from operands that are already canonical, so they take
-a gcd only where a common factor can exist (Henrici's method; Knuth,
-TAOCP vol. 2, 4.5.1).  Write x = a/b and y = c/d, and let ord p be p
-without its power of A; a canonical b has no factor A, so only ord a can
-meet b.
+Every cancellation goes through _cancel(n, b), for an ordinary monic
+denominator b with nonzero constant term.  It divides n and b by
+gcd(ord n, b), where ord p is p without its power of A; b has no factor
+A, so only ord n can meet it.  Three structural cases take no gcd.  A
+numerator with at most one term, or a denominator of 1, shares no
+factor.  When ord n = q * b for a constant q (the same term count, and q
+times each term of b is the term of ord n at that exponent), b divides
+ord n, so the monic gcd is b itself: both quotients are exact, q and 1,
+and n/b is q * A^w over 1, w the lowest exponent of n.  That is the
+commutator scale 1/(A^k - A^-k) meeting a coefficient +-(A^k - A^-k),
+cancelled with no gcd, modular image or division.  The public
+RationalFunction constructor moves the power of A out of the
+denominator, makes it monic, then calls _cancel.  The field operations
+start from canonical operands, so they call _cancel only where a common
+factor can exist (Henrici's method; Knuth, TAOCP vol. 2, 4.5.1).  Write
+x = a/b and y = c/d.
   * x * y divides out gcd(ord a, d) and gcd(ord c, b), skipping each when
     the numerator is a monomial or the denominator is 1; nothing else can
     cancel, because a is already coprime to b and c to d.
@@ -42,10 +51,11 @@ matrix of a and b entry by entry onto that of their images:
 Res(a, b) mod p = Res(image a, image b), which is nonzero because the
 images are coprime.  So Res(a, b) is nonzero and gcd(a, b) = 1 over Q.
 This is a proof, not a heuristic.  Every other case takes the Euclidean
-algorithm over Q, which stays the only code that produces a nontrivial
-gcd: a denominator divisible by p, a leading coefficient that vanishes
-mod p, images with a common factor (a true common factor, or a prime of
-the resultant that happens to be p), or a zero operand.
+algorithm over Q, which stays the only code that finds a nontrivial gcd
+other than the whole denominator: a denominator divisible by p, a
+leading coefficient that vanishes mod p, images with a common factor (a
+true common factor, or a prime of the resultant that happens to be p),
+or a zero operand.
 
 Coefficients are fractions.Fraction, hence arbitrary precision.  The
 constructors turn int coefficients into Fractions and reject floats, so
@@ -315,36 +325,33 @@ def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return q
 
 
-def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    # Bring num/den to canonical form; den is nonzero and not already 1.
-    if num.is_zero():
-        return _LP_ZERO, _LP_ONE
+def _monic(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    # Move den's power of A into num and make den monic; den is nonzero.
     v = den.min_exp()
     if v:
         den = den.shift(-v)
         num = num.shift(-v)
-    w = num.min_exp()
-    num_ord = num.shift(-w)
-    g = poly_gcd(num_ord, den)
-    if not g.is_one():
-        num_ord = _poly_exact_div(num_ord, g)
-        den = _poly_exact_div(den, g)
     lc = den.leading_coeff()
     if lc != 1:
         inv = _F1 / lc
-        num_ord = num_ord.scale(inv)
+        num = num.scale(inv)
         den = den.scale(inv)
-    return num_ord.shift(w), den
+    return num, den
 
 
 def _cancel(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    # Divide num and den by gcd(ord num, den), returning both unchanged when
-    # nothing cancels; a numerator with at most one term or a denominator
-    # of 1 shares no factor.
+    # Divide num and den, den canonical, by gcd(ord num, den), returning both
+    # unchanged when nothing cancels; a numerator with at most one term or a
+    # denominator of 1 shares no factor, and ord num = q * den cancels whole.
     if den.is_one() or len(num.terms) <= 1:
         return num, den
     w = num.min_exp()
     num_ord = num.shift(-w)
+    terms = num_ord.terms
+    if len(terms) == len(den.terms):
+        q = terms.get(den.max_exp(), _F0)
+        if all(terms.get(e) == q * x for e, x in den.terms.items()):
+            return LaurentPoly._raw({w: q}), _LP_ONE
     g = poly_gcd(num_ord, den)
     if g.is_one():
         return num, den
@@ -378,13 +385,12 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None or den.is_one():
-            self.num = num
-            self.den = _LP_ONE
-            return
-        if den.is_zero():
+        if den is not None and den.is_zero():
             raise ZeroDivisionError("denominator is zero in Q(A)")
-        self.num, self.den = _reduce(num, den)
+        if den is None or den.is_one() or num.is_zero():
+            self.num, self.den = num, _LP_ONE
+        else:
+            self.num, self.den = _cancel(*_monic(num, den))
 
     @classmethod
     def _raw(cls, num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
@@ -421,15 +427,7 @@ class RationalFunction:
             raise ZeroDivisionError("zero has no inverse in Q(A)")
         # The swapped pair is still coprime: only the power of A moves to the
         # new numerator, and the new denominator is made monic.
-        w = self.num.min_exp()
-        den = self.num.shift(-w)
-        num = self.den.shift(-w)
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = _F1 / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return RationalFunction._raw(num, den)
+        return RationalFunction._raw(*_monic(self.den, self.num))
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._raw(-self.num, self.den)

@@ -42,15 +42,16 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_associativity():
-    assert associativity_sweep(1000, 10, seed=20250809) is None
+    assert associativity_sweep(1000, 10, seed=20250809) == (1000, None)
     _report(2, "associativity", "1000 seeded triples, 0 mismatches")
 
 
 def test_criterion_3_chebyshev_consistency():
-    assert chebyshev_sweep(5, 12) is None
+    # 80 primitive labels in box 5, each for n = 0..12
+    assert chebyshev_sweep(5, 12) == (80 * 13, None)
     # second-kind basis against the commuting-polynomial oracle
-    assert jw_basis_sweep(20) is None
-    _report(3, "chebyshev consistency", "coprime pairs in box 5, n<=12; basis n<=20")
+    assert jw_basis_sweep(20) == (21, None)
+    _report(3, "chebyshev consistency", "1040 cases: coprime pairs in box 5, n<=12; basis n<=20")
 
 
 def test_criterion_4_abelianization_closure():

@@ -156,6 +156,24 @@ def test_selftest_reports_a_raising_check_and_finishes(capsys, monkeypatch):
     ]
 
 
+def test_empty_sweeps_report_zero_cases_and_selftest_fails_them(capsys, monkeypatch):
+    assert checks.chebyshev_sweep(0, 8) == (0, None)
+    assert checks.associativity_sweep(0, 5) == (0, None)
+    assert checks.jw_basis_sweep(-1) == (0, None)
+    monkeypatch.setattr(checks, "chebyshev_sweep", lambda box, max_n: (0, None))
+    code, out, err = run(capsys, "selftest", "--box", "1")
+    assert code == 1 and err == ""
+    assert [row for row in out.splitlines() if "FAIL" in row] == [
+        "chebyshev labels             FAIL  (checked no cases)"
+    ]
+    code, out, err = run(capsys, "selftest", "--box", "1", "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["pass"] is False
+    assert [c for c in doc["checks"] if not c["pass"]] == [
+        {"name": "chebyshev labels", "pass": False, "detail": "checked no cases"}
+    ]
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "reduce-t2", "(1,0) +")
     assert code == 2
@@ -183,6 +201,14 @@ def test_deep_nesting_exits_2(capsys):
         assert out == ""
         assert err.startswith("parse error: line 1, column ")
         assert len(err.splitlines()) == 1
+
+
+def test_non_decimal_digits_exit_2(capsys):
+    for text, col in (("\u00b2", 1), ("A^\u00b2", 3)):
+        code, out, err = run(capsys, "mul", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: line 1, column {col}: unexpected character '\u00b2'\n"
 
 
 def test_box_below_1_exits_2(capsys, monkeypatch):

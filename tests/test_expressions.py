@@ -180,12 +180,22 @@ def test_error_messages_and_positions():
         ("((1,0)", 1, 7, "expected ')', found 'end of input'"),
         ("A^", 1, 3, "expected an integer exponent, found 'end of input'"),
         ("(1,0) (0,1)", 1, 7, "trailing input after expression (near '(')"),
+        # Digits that int() refuses are not digits of the grammar.
+        ("\u00b2", 1, 1, "unexpected character '\u00b2'"),
+        ("A^\u00b2", 1, 3, "unexpected character '\u00b2'"),
+        ("(1,0) +\n (1,\u2460)", 2, 5, "unexpected character '\u2460'"),
     ]
     for text, line, col, message in cases:
         with pytest.raises(ExpressionError) as err:
             parse_element(text)
         assert (err.value.line, err.value.col) == (line, col), text
         assert str(err.value) == f"line {line}, column {col}: {message}"
+
+
+def test_decimal_digits_of_any_script_parse():
+    # int() accepts every Unicode decimal digit, so the tokenizer does too.
+    assert parse_scalar("\u0663") == parse_scalar("3")
+    assert parse_element("\u0661*(1,\u0660)") == curve(1, 0)
 
 
 def test_nesting_depth_is_bounded():

@@ -137,6 +137,16 @@ def test_int_coefficients_divide_exactly():
     assert str(y) == "(-3)/(A - 1)"
 
 
+def test_multiple_of_the_denominator_cancels_whole():
+    a2_minus_1 = LaurentPoly({2: 1, 0: -1})
+    x = RationalFunction(LaurentPoly({-1: 3}) * a2_minus_1, a2_minus_1.scale(Fraction(6)))
+    assert x.num.terms == {-1: Fraction(1, 2)} and x.den.is_one()
+    # Every term of the denominator matches, but the numerator has one more.
+    near = LaurentPoly({2: 1, 1: 1, 0: -1})
+    y = RationalFunction(near, a2_minus_1)
+    assert y.num == near and y.den == a2_minus_1
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         LaurentPoly.constant(0.1)
@@ -181,7 +191,7 @@ def _canonical_operand(rng):
 
 def _operand_pair(rng):
     x = _canonical_operand(rng)
-    kind = rng.randrange(6)
+    kind = rng.randrange(8)
     if kind == 0:  # equal denominators
         y = RationalFunction(_random_poly(rng) * _factor_product(rng, 1), x.den)
     elif kind == 1:  # sums and differences that cancel to zero
@@ -189,6 +199,13 @@ def _operand_pair(rng):
     elif kind == 2:  # y = z - x, so x + y cancels down to z
         z = _canonical_operand(rng)
         y = RationalFunction(z.num * x.den - x.num * z.den, z.den * x.den)
+    elif kind in (3, 4):  # total cancellation against x.den
+        q = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        multiple = x.den.scale(q).shift(rng.randint(-2, 2))
+        if kind == 3:  # y.num = q * A^k * x.den, so x * y cancels x.den whole
+            y = RationalFunction(multiple, _factor_product(rng, rng.randint(0, 1)))
+        else:  # equal denominators, and x + y has numerator q * A^k * x.den
+            y = RationalFunction(multiple - x.num, x.den)
     else:
         y = _canonical_operand(rng)
     return x, y
