@@ -12,10 +12,8 @@ over a finite box of labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combination import Combination
-from .errors import VerificationError
+from .errors import Record, VerificationError
 from .ratfunc import RationalFunction, a_pow
 from .torus2 import EMPTY, SkeinT2Element, canonical_pair, commutator, curve
 
@@ -46,14 +44,10 @@ def reduce_element(x: SkeinT2Element) -> AbElement:
     )
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(Record):
     """One commutator rewrite: scale * [conjugator, midpoint] = from - to."""
 
-    from_pair: tuple[int, int]
-    to_pair: tuple[int, int]
-    conjugator: tuple[int, int]
-    scale: RationalFunction
+    __slots__ = ("from_pair", "to_pair", "conjugator", "scale")
 
     def midpoint(self) -> tuple[int, int]:
         fp, tp = self.from_pair, self.to_pair
@@ -71,13 +65,10 @@ class CertStep:
         return commutator(curve(*self.conjugator), curve(*mid)).scale(self.scale)
 
 
-@dataclass
-class AbCertificate:
+class AbCertificate(Record):
     """Telescoping chain of commutator rewrites from a label to its class."""
 
-    source: tuple[int, int]
-    canonical: tuple[int, int]
-    steps: tuple[CertStep, ...]
+    __slots__ = ("source", "canonical", "steps")
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,12 +90,8 @@ class AbCertificate:
         from .expressions import parse_scalar
 
         steps = tuple(
-            CertStep(
-                tuple(s["from"]),
-                tuple(s["to"]),
-                tuple(s["conjugator"]),
-                parse_scalar(s["scale"]),
-            )
+            CertStep(tuple(s["from"]), tuple(s["to"]), tuple(s["conjugator"]),
+                     parse_scalar(s["scale"]))
             for s in doc["steps"]
         )
         return cls(tuple(doc["input"]), tuple(doc["canonical"]), steps)

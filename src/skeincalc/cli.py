@@ -3,23 +3,20 @@
 Subcommands: mul, reduce-t2, abelianize, certify-ab, reduce-t3,
 common-curve, generators, grade, oracle-check, closure-check, selftest.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse error.  oracle-check,
-closure-check and selftest run the sweeps of skeincalc.checks and take
---box N; the SKEINCALC_BOX environment variable overrides the default.
-A box below 1, from either source, is a usage error.
+1 verification failure or closed stdout, 2 usage or parse error.
+oracle-check, closure-check and selftest run the sweeps of skeincalc.checks
+and take --box N; the SKEINCALC_BOX environment variable overrides the
+default.  A box below 1, from either source, is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import abelianize, checks, torus3
-from .errors import VerificationError
-from .expressions import ExpressionError, parse_element
-from .torus3 import Curve3, StandardEmbedding
+# Each command imports what it uses, so a process loads only its own.
+from .errors import ExpressionError, VerificationError
 
 
 def _box(args, fallback: int) -> int:
@@ -46,22 +43,25 @@ def _box(args, fallback: int) -> int:
 
 def _element_terms(x) -> list[dict]:
     return [
-        {
-            "label": "empty" if not label else list(label),
-            "coef": str(x.terms[label]),
-        }
+        {"label": "empty" if not label else list(label), "coef": str(x.terms[label])}
         for label in sorted(x.terms)
     ]
 
 
+def _print_json(doc, indent: int | None = 2) -> None:
+    import json
+    print(json.dumps(doc, indent=indent))
+
+
 def _emit_element(x, as_json: bool) -> None:
     if as_json:
-        print(json.dumps({"terms": _element_terms(x)}, indent=2))
+        _print_json({"terms": _element_terms(x)})
     else:
         print(x)
 
 
 def cmd_mul(args) -> int:
+    from .expressions import parse_element
     result = parse_element(args.expr[0])
     for text in args.expr[1:]:
         result = result * parse_element(text)
@@ -70,104 +70,98 @@ def cmd_mul(args) -> int:
 
 
 def cmd_reduce_t2(args) -> int:
+    from .expressions import parse_element
     _emit_element(parse_element(args.expr), args.json)
     return 0
 
 
 def cmd_abelianize(args) -> int:
-    _emit_element(abelianize.reduce_element(parse_element(args.expr)), args.json)
+    from .abelianize import reduce_element
+    from .expressions import parse_element
+    _emit_element(reduce_element(parse_element(args.expr)), args.json)
     return 0
 
 
 def cmd_certify_ab(args) -> int:
+    from . import abelianize
     cert = abelianize.certificate(args.p, args.q)
     abelianize.verify_certificate(cert)
     if args.json:
-        print(json.dumps(cert.to_json_dict(), indent=2))
+        _print_json(cert.to_json_dict())
     else:
         print(f"input: ({args.p},{args.q})")
         print(f"canonical: ({cert.canonical[0]},{cert.canonical[1]})")
         print(f"steps: {len(cert.steps)}")
         for s in cert.steps:
-            print(
-                f"  {s.from_pair} -> {s.to_pair}  conjugator {s.conjugator}"
-                f"  scale {s.scale}"
-            )
+            print(f"  {s.from_pair} -> {s.to_pair}  conjugator {s.conjugator}  scale {s.scale}")
         print("certificate verified")
     return 0
 
 
 def cmd_reduce_t3(args) -> int:
-    c = Curve3.of(args.p, args.q, args.r)
+    from . import torus3
+    c = torus3.Curve3.of(args.p, args.q, args.r)
     canonical, cert = torus3.reduce_curve(c)
     torus3.replay_certificate(cert)
     if args.json:
-        print(json.dumps(cert.to_json_dict(), indent=2))
+        _print_json(cert.to_json_dict())
     else:
         print(f"input: {c}")
         print(f"canonical: {canonical}")
         print(f"steps: {len(cert.steps)}")
         for s in cert.steps:
-            print(
-                f"  matrix {list(map(list, s.embedding.matrix))}"
-                f" columns {s.embedding.columns}"
-                f" {s.from_pair} -> {s.to_pair} perm {s.permutation}"
-            )
+            print(f"  matrix {list(map(list, s.embedding.matrix))} columns {s.embedding.columns}"
+                  f" {s.from_pair} -> {s.to_pair} perm {s.permutation}")
         print("certificate verified")
     return 0
 
 
-def _parse_matrix(text: str) -> list[list[int]]:
-    rows = [row.strip() for row in text.split(";")]
-    return [[int(x) for x in row.split(",")] for row in rows]
-
-
-def _parse_cols(text: str) -> tuple[int, int]:
-    i, j = (int(x) for x in text.split(","))
-    return (i, j)
+def _embedding(matrix: str, cols: str):
+    # rows 'a,b,c;d,e,f;g,h,i' and columns 'i,j'
+    from .torus3 import StandardEmbedding
+    rows = [[int(x) for x in row.strip().split(",")] for row in matrix.split(";")]
+    i, j = (int(x) for x in cols.split(","))
+    return StandardEmbedding(rows, (i, j))
 
 
 def cmd_common_curve(args) -> int:
-    e1 = StandardEmbedding(_parse_matrix(args.matrix1), _parse_cols(args.cols1))
-    e2 = StandardEmbedding(_parse_matrix(args.matrix2), _parse_cols(args.cols2))
-    w = torus3.common_curve(e1, e2)
+    from .torus3 import common_curve
+    w = common_curve(_embedding(args.matrix1, args.cols1), _embedding(args.matrix2, args.cols2))
     if args.json:
-        print(json.dumps({"curve": list(w.coords)}))
+        _print_json({"curve": list(w.coords)}, indent=None)
     else:
         print(w)
     return 0
 
 
 def cmd_generators(args) -> int:
-    gens = torus3.generators()
+    from .torus3 import generators
+    gens = generators()
     if args.json:
-        doc = [
-            {"kind": g.kind, **({"curve": list(g.curve.coords)} if g.curve else {})}
-            for g in gens
-        ]
-        print(json.dumps(doc, indent=2))
+        _print_json(
+            [{"kind": g.kind, **({"curve": list(g.curve.coords)} if g.curve else {})} for g in gens]
+        )
     else:
         for g in gens:
             print(g)
     return 0
 
 
-def _parse_triple(text: str) -> Curve3:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected p,q,r, got {text!r}")
-    return Curve3.of(*parts)
-
-
 def cmd_grade(args) -> int:
-    curves = [_parse_triple(t) for t in args.triple]
-    buckets = torus3.grade_decompose(curves)
+    from .torus3 import Curve3, grade_decompose
+    curves = []
+    for text in args.triple:
+        parts = [int(x) for x in text.split(",")]
+        if len(parts) != 3:
+            raise ValueError(f"expected p,q,r, got {text!r}")
+        curves.append(Curve3.of(*parts))
+    buckets = grade_decompose(curves)
     if args.json:
         doc = [
             {"class": list(h), "curves": [list(c.coords) for c in buckets[h]]}
             for h in sorted(buckets)
         ]
-        print(json.dumps({"buckets": doc}, indent=2))
+        _print_json({"buckets": doc})
     else:
         for h in sorted(buckets):
             members = " ".join(str(c) for c in buckets[h]) or "-"
@@ -176,31 +170,30 @@ def cmd_grade(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .checks import oracle_sweep
     box = _box(args, 3)
-    comparisons, mismatch = checks.oracle_sweep(box)
+    comparisons, mismatch = oracle_sweep(box)
     if mismatch is not None:
         print(f"oracle mismatch at labels {mismatch[0]} * {mismatch[1]}", file=sys.stderr)
         return 1
     if args.json:
-        print(
-            json.dumps(
-                {"box": box, "comparisons": comparisons, "mismatches": 0, "pass": True}
-            )
-        )
+        doc = {"box": box, "comparisons": comparisons, "mismatches": 0, "pass": True}
+        _print_json(doc, indent=None)
     else:
         print(f"oracle-check: pass, {comparisons} label-pair comparisons (box {box})")
     return 0
 
 
 def cmd_closure_check(args) -> int:
+    from .checks import closure_sweep
     box = _box(args, 6)
-    problem = checks.closure_sweep(box)
+    problem = closure_sweep(box)
     if problem is not None:
         print(f"closure mismatch: {problem}", file=sys.stderr)
         return 1
     # closure_sweep passes only when the partition has exactly 4 classes.
     if args.json:
-        print(json.dumps({"box": box, "classes": 4, "pass": True}))
+        _print_json({"box": box, "classes": 4, "pass": True}, indent=None)
     else:
         print(f"closure-check: pass, 4 classes matching parities (box {box})")
     return 0
@@ -214,6 +207,7 @@ def _swept(count: int, noun: str, problem: str | None = None):
 
 
 def cmd_selftest(args) -> int:
+    from . import checks, torus3
     box = _box(args, 3)
 
     def run_oracle():
@@ -286,7 +280,7 @@ def cmd_selftest(args) -> int:
             extra = f"  ({problem or detail})" if (problem or detail) else ""
             print(f"{name:<28} {status}{extra}")
     if args.json:
-        print(json.dumps({"checks": results, "pass": not failed}, indent=2))
+        _print_json({"checks": results, "pass": not failed})
     return 1 if failed else 0
 
 
@@ -359,5 +353,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main() -> int:
+    """main() for a process of its own: a closed stdout ends it with exit 1.
+
+    As in the note on SIGPIPE in the signal module's documentation, stdout is
+    flushed inside the handler, then pointed at devnull so exit cannot fail.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

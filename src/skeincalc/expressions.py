@@ -22,13 +22,13 @@ the skein algebra, at the cost of plain Q(A) arithmetic.
 
 Nesting through '(' and unary minus is bounded by MAX_DEPTH, so a deep
 input ends in an ExpressionError rather than a RecursionError.  Errors
-carry the line, column and offending token.
+carry the line, column and offending token.  A token is a plain
+(kind, text, line, col) tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import ExpressionError
 from .ratfunc import RationalFunction, a_pow
 from .torus2 import EMPTY, SkeinT2Element
 
@@ -41,20 +41,7 @@ MAX_DEPTH = 100
 # A parsed subexpression: a Q(A) scalar until it meets a curve label.
 Value = RationalFunction | SkeinT2Element
 
-
-class ExpressionError(ValueError):
-    def __init__(self, line: int, col: int, message: str):
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = tuple[str, str, int, int]  # (kind, text, line, col)
 
 
 _SINGLE = {
@@ -89,7 +76,7 @@ def tokenize(source: str) -> list[Token]:
             j = i
             while j < n and source[j].isdecimal():
                 j += 1
-            tokens.append(Token("INT", source[i:j], line, start))
+            tokens.append(("INT", source[i:j], line, start))
             col += j - i
             i = j
             continue
@@ -97,17 +84,17 @@ def tokenize(source: str) -> list[Token]:
             j = i
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            tokens.append(Token("NAME", source[i:j], line, start))
+            tokens.append(("NAME", source[i:j], line, start))
             col += j - i
             i = j
             continue
         kind = _SINGLE.get(ch)
         if kind is None:
             raise ExpressionError(line, col, f"unexpected character {ch!r}")
-        tokens.append(Token(kind, ch, line, start))
+        tokens.append((kind, ch, line, start))
         i += 1
         col += 1
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(("EOF", "", line, col))
     return tokens
 
 
@@ -125,20 +112,20 @@ class _Parser:
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ExpressionError(
-                tok.line, tok.col, f"expected {what}, found {tok.text or 'end of input'!r}"
-            )
+        if tok[0] != kind:
+            _, text, line, col = tok
+            raise ExpressionError(line, col, f"expected {what}, found {text or 'end of input'!r}")
         return self.advance()
 
     def fail(self, tok: Token, message: str):
-        raise ExpressionError(tok.line, tok.col, f"{message} (near {tok.text or 'end of input'!r})")
+        _, text, line, col = tok
+        raise ExpressionError(line, col, f"{message} (near {text or 'end of input'!r})")
 
     def _nest(self, tok: Token) -> None:
         # One level deeper, through '(' or a unary minus.
@@ -149,26 +136,26 @@ class _Parser:
     def parse(self) -> Value:
         value = self.expr()
         tok = self.peek()
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.fail(tok, "trailing input after expression")
         return value
 
     def expr(self) -> Value:
         value = self.term()
-        while self.peek().kind in ("PLUS", "MINUS"):
+        while self.peek()[0] in ("PLUS", "MINUS"):
             op = self.advance()
             rhs = self.term()
             if type(value) is not type(rhs):
                 value, rhs = _element(value), _element(rhs)
-            value = value + rhs if op.kind == "PLUS" else value - rhs
+            value = value + rhs if op[0] == "PLUS" else value - rhs
         return value
 
     def term(self) -> Value:
         value = self.factor()
-        while self.peek().kind in ("STAR", "SLASH"):
+        while self.peek()[0] in ("STAR", "SLASH"):
             op = self.advance()
             rhs = self.factor()
-            if op.kind == "SLASH":
+            if op[0] == "SLASH":
                 value = self._divide(value, rhs, op)
             elif type(value) is type(rhs):
                 value = value * rhs
@@ -190,7 +177,7 @@ class _Parser:
         return value * inv if type(value) is RationalFunction else value.scale(inv)
 
     def factor(self) -> Value:
-        if self.peek().kind == "MINUS":
+        if self.peek()[0] == "MINUS":
             self._nest(self.advance())
             value = -self.factor()
             self.depth -= 1
@@ -199,32 +186,32 @@ class _Parser:
 
     def _signed_int(self, what: str) -> int:
         sign = 1
-        if self.peek().kind == "MINUS":
+        if self.peek()[0] == "MINUS":
             self.advance()
             sign = -1
-        tok = self.expect("INT", what)
-        return sign * int(tok.text)
+        return sign * int(self.expect("INT", what)[1])
 
     def atom(self) -> Value:
         tok = self.peek()
-        if tok.kind == "INT":
+        kind, text, _, _ = tok
+        if kind == "INT":
             self.advance()
-            return RationalFunction.from_int(int(tok.text))
-        if tok.kind == "NAME":
+            return RationalFunction.from_int(int(text))
+        if kind == "NAME":
             self.advance()
-            if tok.text == "A":
+            if text == "A":
                 exp = 1
-                if self.peek().kind == "CARET":
+                if self.peek()[0] == "CARET":
                     self.advance()
                     exp = self._signed_int("an integer exponent")
                 return a_pow(exp)
-            if tok.text == "empty":
+            if text == "empty":
                 return RationalFunction.one()
-            self.fail(tok, f"unknown name {tok.text!r}")
-        if tok.kind == "LPAREN":
+            self.fail(tok, f"unknown name {text!r}")
+        if kind == "LPAREN":
             # Curve label when an integer then a comma follow.
-            k = 1 if self.peek(1).kind != "MINUS" else 2
-            if self.peek(k).kind == "INT" and self.peek(k + 1).kind == "COMMA":
+            k = 1 if self.peek(1)[0] != "MINUS" else 2
+            if self.peek(k)[0] == "INT" and self.peek(k + 1)[0] == "COMMA":
                 self.advance()
                 p = self._signed_int("an integer")
                 self.expect("COMMA", "','")

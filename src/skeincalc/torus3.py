@@ -18,9 +18,8 @@ to_pair, so every step preserves the parity vector componentwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import VerificationError
+from .errors import Record, VerificationError
 
 Vec3 = tuple[int, int, int]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -53,8 +52,7 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-@dataclass(frozen=True)
-class Curve3:
+class Curve3(Record):
     """A coprime, sign-canonical integer triple naming a curve in the 3-torus.
 
     The curve carries the framing given by a collar inside any plane
@@ -62,18 +60,15 @@ class Curve3:
     nothing about it needs to be stored.
     """
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ("p", "q", "r")
 
-    def __post_init__(self):
-        if math.gcd(self.p, self.q, self.r) != 1:
-            raise ValueError(f"({self.p},{self.q},{self.r}) is not coprime")
-        first = next(x for x in (self.p, self.q, self.r) if x)
+    def __init__(self, p: int, q: int, r: int):
+        if math.gcd(p, q, r) != 1:
+            raise ValueError(f"({p},{q},{r}) is not coprime")
+        first = next(x for x in (p, q, r) if x)
         if first < 0:
-            raise ValueError(
-                f"({self.p},{self.q},{self.r}) is not sign-canonical; use Curve3.of"
-            )
+            raise ValueError(f"({p},{q},{r}) is not sign-canonical; use Curve3.of")
+        super().__init__(p, q, r)
 
     @classmethod
     def of(cls, p: int, q: int, r: int) -> "Curve3":
@@ -96,7 +91,7 @@ class Curve3:
         return f"[{self.p},{self.q},{self.r}]"
 
 
-class StandardEmbedding:
+class StandardEmbedding(Record):
     """A determinant-1 integer matrix with an ordered pair of selected columns.
 
     Column indices are 1-based, matching how the construction matrices are
@@ -114,8 +109,7 @@ class StandardEmbedding:
         i, j = columns
         if not (1 <= i <= 3 and 1 <= j <= 3 and i != j):
             raise ValueError("columns must be two distinct 1-based indices")
-        self.matrix: Mat3 = m
-        self.columns = (i, j)
+        super().__init__(m, (i, j))
 
     def column(self, k: int) -> Vec3:
         return (self.matrix[0][k - 1], self.matrix[1][k - 1], self.matrix[2][k - 1])
@@ -135,16 +129,6 @@ class StandardEmbedding:
             raise ValueError(f"({a},{b}) must be coprime")
         u, v = self.selected()
         return Curve3.of(a * u[0] + b * v[0], a * u[1] + b * v[1], a * u[2] + b * v[2])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StandardEmbedding)
-            and self.matrix == other.matrix
-            and self.columns == other.columns
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.matrix, self.columns))
 
     def __repr__(self) -> str:
         return f"StandardEmbedding({list(map(list, self.matrix))}, columns={self.columns})"
@@ -214,19 +198,15 @@ def invert_perm(sigma: Perm) -> Perm:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    embedding: StandardEmbedding
-    from_pair: tuple[int, int]
-    to_pair: tuple[int, int]
-    permutation: Perm = IDENTITY_PERM
+class ReductionStep(Record):
+    __slots__ = ("embedding", "from_pair", "to_pair", "permutation")
+
+    def __init__(self, embedding: StandardEmbedding, from_pair, to_pair, permutation=IDENTITY_PERM):
+        super().__init__(embedding, from_pair, to_pair, permutation)
 
 
-@dataclass
-class Reduction3Certificate:
-    source: Curve3
-    canonical: Curve3
-    steps: tuple[ReductionStep, ...]
+class Reduction3Certificate(Record):
+    __slots__ = ("source", "canonical", "steps")
 
     def to_json_dict(self) -> dict:
         return {
@@ -374,12 +354,14 @@ def find_diffeo(c: Curve3) -> Mat3:
     return mat_adjugate(basis)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """One of the nine generators: the empty link, a curve, or the doubled curve."""
 
-    kind: str  # "empty" | "curve" | "alpha"
-    curve: Curve3 | None = None
+    __slots__ = ("kind", "curve")
+
+    # kind is "empty", "curve" or "alpha".
+    def __init__(self, kind: str, curve: Curve3 | None = None):
+        super().__init__(kind, curve)
 
     def __str__(self) -> str:
         if self.kind == "curve":
@@ -399,15 +381,7 @@ def generators() -> list[Generator]:
     dimension of the span is one of 0, 1, 2, 7, 8, 9, and nothing in this
     package decides which.
     """
-    triples = [
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (1, 1, 0),
-        (1, 0, 1),
-        (0, 1, 1),
-        (1, 1, 1),
-    ]
+    triples = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
     out = [Generator("empty")]
     out.extend(Generator("curve", Curve3(*t)) for t in triples)
     out.append(Generator("alpha"))

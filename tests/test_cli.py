@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skeincalc
 from skeincalc import checks
 from skeincalc.cli import main
+
+# The directory holding the package, for child processes.
+PACKAGE_ROOT = str(Path(skeincalc.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -223,3 +231,64 @@ def test_box_below_1_exits_2(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err == "error: SKEINCALC_BOX must be at least 1, got -1\n"
+
+
+def _child_env(**extra) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "SKEINCALC_BOX")}
+    return {**env, "PYTHONPATH": PACKAGE_ROOT, **extra}
+
+
+# Prints the modules a command adds to those of a bare interpreter start.
+_NEW_MODULES = """
+import contextlib, io, sys
+before = set(sys.modules)
+from skeincalc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+def _new_modules(*argv) -> set[str]:
+    done = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES, *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    code, *modules = done.stdout.split()
+    assert (code, done.stderr) == ("0", "")
+    return set(modules)
+
+
+def test_commands_import_only_what_they_use():
+    loaded = _new_modules("mul", "(1,0)", "(0,1)")
+    assert {"skeincalc.cli", "skeincalc.expressions", "skeincalc.torus2"} <= loaded
+    assert not loaded & {
+        "dataclasses",
+        "inspect",
+        "json",
+        "skeincalc.abelianize",
+        "skeincalc.torus3",
+        "skeincalc.checks",
+        "skeincalc.quantum_torus",
+    }
+    loaded = _new_modules("reduce-t3", "2", "3", "5")
+    assert "skeincalc.torus3" in loaded
+    assert not loaded & {"dataclasses", "skeincalc.abelianize", "skeincalc.quantum_torus"}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_1_without_traceback(unbuffered):
+    # The read end is closed before the child starts, so its first write
+    # to stdout fails, whether it writes at once or only at its last flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "skeincalc.cli", "selftest", "--box", "1", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
