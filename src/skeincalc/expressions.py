@@ -13,12 +13,17 @@ Grammar, lowest to highest precedence:
 rational-function text such as (-A^4 - 1)/(A^2 + 1) parses to the scalar
 it denotes.  A '(' opens a curve label exactly when an integer followed
 by a comma comes next.  Evaluation happens during parsing; there is no
-separate syntax tree.  A subexpression is evaluated as a Q(A) value (a
-RationalFunction) until it meets a curve label; only then does it become
-a SkeinT2Element, as a multiple of the empty link or by scaling the
-element it meets.  Scalars are central and canonical forms are unique,
-so the result is the same canonical element as evaluating everything in
-the skein algebra, at the cost of plain Q(A) arithmetic.
+separate syntax tree.  A subexpression evaluates in the smallest ring
+that holds it.  With no '/' and no curve label it is a Laurent
+polynomial (a LaurentPoly), computed with the polynomial ring's own
+sums and products.  It becomes a Q(A) value (a RationalFunction over 1,
+already canonical) at a '/', or when it meets a value of Q(A).  It
+becomes a SkeinT2Element at a curve label, as a multiple of the empty
+link or as the coefficient of the element it meets; a bare label c*(p,q)
+takes c as its coefficient with no product.  Every ring maps into the
+next, scalars are central and canonical forms are unique, so the result
+is the same canonical element as evaluating everything in the skein
+algebra, at the cost of polynomial arithmetic where no '/' occurs.
 
 Nesting through '(' and unary minus is bounded by MAX_DEPTH, so a deep
 input ends in an ExpressionError rather than a RecursionError.  Errors
@@ -29,7 +34,7 @@ carry the line, column and offending token.  A token is a plain
 from __future__ import annotations
 
 from .errors import ExpressionError
-from .ratfunc import RationalFunction, a_pow
+from .ratfunc import LaurentPoly, RationalFunction, a_pow
 from .torus2 import EMPTY, SkeinT2Element
 
 
@@ -38,8 +43,9 @@ from .torus2 import EMPTY, SkeinT2Element
 # below the interpreter's recursion limit.
 MAX_DEPTH = 100
 
-# A parsed subexpression: a Q(A) scalar until it meets a curve label.
-Value = RationalFunction | SkeinT2Element
+# A parsed subexpression: a Laurent polynomial until it meets a '/' or a Q(A)
+# value, a Q(A) scalar until it meets a curve label, an element from then on.
+Value = LaurentPoly | RationalFunction | SkeinT2Element
 
 Token = tuple[str, str, int, int]  # (kind, text, line, col)
 
@@ -146,7 +152,7 @@ class _Parser:
             op = self.advance()
             rhs = self.term()
             if type(value) is not type(rhs):
-                value, rhs = _element(value), _element(rhs)
+                value, rhs = _common(value, rhs)
             value = value + rhs if op[0] == "PLUS" else value - rhs
         return value
 
@@ -159,10 +165,12 @@ class _Parser:
                 value = self._divide(value, rhs, op)
             elif type(value) is type(rhs):
                 value = value * rhs
-            elif type(rhs) is RationalFunction:
-                value = value.scale(rhs)
+            elif type(rhs) is SkeinT2Element:
+                value = _scaled(rhs, value)
+            elif type(value) is SkeinT2Element:
+                value = _scaled(value, rhs)
             else:
-                value = rhs.scale(value)
+                value = _scalar(value) * _scalar(rhs)
         return value
 
     def _divide(self, value: Value, divisor: Value, op: Token) -> Value:
@@ -173,8 +181,8 @@ class _Parser:
             c = divisor.coeff(EMPTY)
         if c.is_zero():
             self.fail(op, "division by zero")
-        inv = c.inverse()
-        return value * inv if type(value) is RationalFunction else value.scale(inv)
+        inv = _scalar(c).inverse()
+        return value.scale(inv) if type(value) is SkeinT2Element else _scalar(value) * inv
 
     def factor(self) -> Value:
         if self.peek()[0] == "MINUS":
@@ -196,7 +204,7 @@ class _Parser:
         kind, text, _, _ = tok
         if kind == "INT":
             self.advance()
-            return RationalFunction.from_int(int(text))
+            return LaurentPoly.constant(int(text))
         if kind == "NAME":
             self.advance()
             if text == "A":
@@ -204,9 +212,9 @@ class _Parser:
                 if self.peek()[0] == "CARET":
                     self.advance()
                     exp = self._signed_int("an integer exponent")
-                return a_pow(exp)
+                return a_pow(exp).num
             if text == "empty":
-                return RationalFunction.one()
+                return LaurentPoly.one()
             self.fail(tok, f"unknown name {text!r}")
         if kind == "LPAREN":
             # Curve label when an integer then a comma follow.
@@ -226,9 +234,32 @@ class _Parser:
         self.fail(tok, "expected a number, 'A', 'empty', a curve label or '('")
 
 
+def _scalar(value: LaurentPoly | RationalFunction) -> RationalFunction:
+    # A polynomial as the Q(A) value over 1; Q(A) values pass through.
+    return RationalFunction(value) if type(value) is LaurentPoly else value
+
+
 def _element(value: Value) -> SkeinT2Element:
     # A scalar value as a multiple of the empty link; elements pass through.
-    return SkeinT2Element.scalar(value) if type(value) is RationalFunction else value
+    return value if type(value) is SkeinT2Element else SkeinT2Element.scalar(_scalar(value))
+
+
+def _common(x: Value, y: Value) -> tuple[Value, Value]:
+    # Two values of different rings, both in the larger of the two.
+    if type(x) is SkeinT2Element or type(y) is SkeinT2Element:
+        return _element(x), _element(y)
+    return _scalar(x), _scalar(y)
+
+
+def _scaled(element: SkeinT2Element, coeff: LaurentPoly | RationalFunction) -> SkeinT2Element:
+    # coeff * element; a bare label, one term with coefficient 1, takes coeff
+    # itself as its coefficient.
+    coeff = _scalar(coeff)
+    if len(element.terms) == 1:
+        ((label, c),) = element.terms.items()
+        if c.is_one():
+            return SkeinT2Element({label: coeff})
+    return element.scale(coeff)
 
 
 def parse_element(source: str) -> SkeinT2Element:

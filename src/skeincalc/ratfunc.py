@@ -57,16 +57,23 @@ leading coefficient that vanishes mod p, images with a common factor (a
 true common factor, or a prime of the resultant that happens to be p),
 or a zero operand.
 
-Coefficients are fractions.Fraction, hence arbitrary precision.  The
-constructors turn int coefficients into Fractions and reject floats, so
-every division below is exact; nothing in this module touches floating
-point.
+Coefficients are stored as fractions.Fraction, hence arbitrary
+precision.  The constructors turn int coefficients into Fractions and
+reject floats.  A product of Laurent polynomials writes each operand as
+integer numerators over D, the lcm of its denominators (1 when every
+coefficient is an integer), convolves the numerators as ints and builds
+one Fraction(n, Da * Db) per surviving exponent, in place of a Fraction
+product and sum for every pair of terms (Knuth, TAOCP vol. 2, 4.6.1).
+Fraction(n, Da * Db) reduces n against the product of the denominators,
+so every division, there and below, stays exact; nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -79,6 +86,16 @@ def _exact(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError(f"coefficient {c!r} is a float; Q(A) needs exact coefficients")
     return c if type(c) is Fraction else Fraction(c)
+
+
+def _over_common_den(terms: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
+    # (D, [(e, n)]) with every coefficient c = n / D, D the lcm of their
+    # denominators; D is 1 for integral coefficients.
+    d = 1
+    for c in terms.values():
+        if d % c.denominator:
+            d = lcm(d, c.denominator)
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
 
 
 class LaurentPoly:
@@ -157,36 +174,40 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, _F0) + c
-            if s:
+            if e not in out:
+                out[e] = c
+            elif s := out[e] + c:
                 out[e] = s
-            elif e in out:
+            else:
                 del out[e]
         return LaurentPoly._raw(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, _F0) - c
-            if s:
+            if e not in out:
+                out[e] = -c
+            elif s := out[e] - c:
                 out[e] = s
-            elif e in out:
+            else:
                 del out[e]
         return LaurentPoly._raw(out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        # One convolution of integer numerators over the operands' common
+        # denominators, and one Fraction per surviving term.
         if not self.terms or not other.terms:
             return _LP_ZERO
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        da, na = _over_common_den(self.terms)
+        db, nb = _over_common_den(other.terms)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for e1, n1 in na:
+            for e2, n2 in nb:
                 e = e1 + e2
-                s = out.get(e, _F0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentPoly._raw(out)
+                acc[e] = get(e, 0) + n1 * n2
+        d = da * db
+        return LaurentPoly._raw({e: Fraction(n, d) for e, n in acc.items() if n})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms

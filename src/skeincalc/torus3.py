@@ -52,6 +52,13 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
+def _first_nonzero(p: int, q: int, r: int) -> int:
+    # The first nonzero entry of a coprime triple; any other triple is refused.
+    if math.gcd(p, q, r) != 1:
+        raise ValueError(f"({p},{q},{r}) is not coprime")
+    return p or q or r
+
+
 class Curve3(Record):
     """A coprime, sign-canonical integer triple naming a curve in the 3-torus.
 
@@ -63,22 +70,18 @@ class Curve3(Record):
     __slots__ = ("p", "q", "r")
 
     def __init__(self, p: int, q: int, r: int):
-        if math.gcd(p, q, r) != 1:
-            raise ValueError(f"({p},{q},{r}) is not coprime")
-        first = next(x for x in (p, q, r) if x)
-        if first < 0:
+        if _first_nonzero(p, q, r) < 0:
             raise ValueError(f"({p},{q},{r}) is not sign-canonical; use Curve3.of")
         super().__init__(p, q, r)
 
     @classmethod
     def of(cls, p: int, q: int, r: int) -> "Curve3":
         """Build a curve, flipping the overall sign to the canonical one."""
-        if math.gcd(p, q, r) != 1:
-            raise ValueError(f"({p},{q},{r}) is not coprime")
-        first = next(x for x in (p, q, r) if x)
-        if first < 0:
+        if _first_nonzero(p, q, r) < 0:
             p, q, r = -p, -q, -r
-        return cls(p, q, r)
+        curve = cls.__new__(cls)
+        Record.__init__(curve, p, q, r)  # checked above, so not again in __init__
+        return curve
 
     @property
     def coords(self) -> Vec3:

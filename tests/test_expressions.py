@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -70,11 +71,22 @@ def test_scalar_parse_rejects_curves():
         parse_scalar("(1,0) + 1")
 
 
+def _random_denominator(rng):
+    """1 + A^j, 1 - A^j, A^j - A^-j or the non-monic 2*A + 1, whose canonical form carries 1/2."""
+    j = rng.randint(1, 3)
+    one = RationalFunction.one()
+    return rng.choice(
+        (one + a_pow(j), one - a_pow(j), a_pow(j) - a_pow(-j), RationalFunction.from_int(2) * a_pow(1) + one)
+    )
+
+
 def _random_element(rng):
     out = SkeinT2Element.zero()
     for _ in range(rng.randint(0, 4)):
         p, q = rng.randint(-5, 5), rng.randint(-5, 5)
         coef = a_pow(rng.randint(-4, 4)) + RationalFunction.from_int(rng.randint(-3, 3))
+        if rng.random() < 0.5:
+            coef = coef / _random_denominator(rng)
         if rng.random() < 0.3:
             out = out + scalar(coef)
         elif (p, q) != (0, 0):
@@ -84,9 +96,20 @@ def _random_element(rng):
 
 def test_render_parse_roundtrip_on_elements():
     rng = random.Random(14)
+    halves = 0
     for _ in range(150):
         x = _random_element(rng)
-        assert parse_element(str(x)) == x
+        parsed = parse_element(str(x))
+        assert parsed == x
+        # Every coefficient is a Q(A) value over Fraction coefficients: no
+        # Laurent polynomial or int leaks out of the parser.
+        for c in parsed.terms.values():
+            assert type(c) is RationalFunction
+            assert type(c.num) is LaurentPoly and type(c.den) is LaurentPoly
+            for coeff in (*c.num.terms.values(), *c.den.terms.values()):
+                assert type(coeff) is Fraction
+                halves += coeff.denominator == 2
+    assert halves  # canonical forms over 2*A + 1 carry 1/2
 
 
 def test_roundtrip_with_rational_coefficients():

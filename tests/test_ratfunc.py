@@ -156,6 +156,78 @@ def test_float_coefficients_rejected():
         LaurentPoly({0: 1, 1: 0.0})
 
 
+# ---- LaurentPoly *, + and - against a reference over Fraction
+
+M61 = (1 << 61) - 1  # a denominator prime to every other one drawn here
+HUGE = 3**90
+
+
+def _reference_poly_op(op, a, b):
+    """a op b for {exponent: Fraction} maps, one Fraction operation per pair of terms."""
+    out = {}
+    if op == "*":
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    else:
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = out.get(e, Fraction(0)) + (c if op == "+" else -c)
+    return {e: c for e, c in out.items() if c}
+
+
+def _mixed_coefficient(rng):
+    sign = rng.choice((-1, 1))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(sign * rng.randint(1, 3))
+    if kind == 1:
+        return Fraction(sign * rng.randint(1, 5), 3)
+    if kind == 2:
+        return Fraction(sign * rng.randint(1, 5), M61)
+    return Fraction(sign * HUGE + rng.randint(-3, 3))
+
+
+def _mixed_poly_pair(rng):
+    a = {rng.randint(-3, 3): _mixed_coefficient(rng) for _ in range(rng.randint(0, 4))}
+    kind = rng.randrange(4)
+    if kind == 0:  # integral, to pair rational operands with integral ones
+        b = {rng.randint(-3, 3): Fraction(rng.randint(1, 3)) for _ in range(rng.randint(0, 3))}
+    elif kind == 1:  # -a, so sums and products cancel terms of a
+        b = {e: -c for e, c in a.items()}
+    else:
+        b = {rng.randint(-3, 3): _mixed_coefficient(rng) for _ in range(rng.randint(0, 4))}
+    return a, b
+
+
+def test_laurent_operations_match_reference_over_fraction():
+    third = Fraction(1, 3)
+    fixed = [
+        ({1: 1, 0: 1}, {1: 1, 0: -1}),  # (A + 1)(A - 1): the middle term cancels
+        ({1: 1, 0: third}, {1: 1, 0: -third}),  # (A + 1/3)(A - 1/3) = A^2 - 1/9
+        ({1: Fraction(1, M61), 0: HUGE}, {1: M61, -1: third}),
+        ({}, {0: third, 2: HUGE}),
+        ({5: Fraction(-2, 7)}, {}),
+        ({}, {}),
+    ]
+    rng = random.Random(23)
+    pairs = fixed + [_mixed_poly_pair(rng) for _ in range(400)]
+    seen = set()
+    for a_terms, b_terms in pairs:
+        a_terms = {e: Fraction(c) for e, c in a_terms.items()}
+        b_terms = {e: Fraction(c) for e, c in b_terms.items()}
+        a, b = LaurentPoly(a_terms), LaurentPoly(b_terms)
+        for op, got in (("*", a * b), ("+", a + b), ("-", a - b)):
+            want = _reference_poly_op(op, a_terms, b_terms)
+            assert got.terms == want, (op, a, b)
+            for c in got.terms.values():
+                assert type(c) is Fraction and c, (op, a, b)
+            seen.add((op, any(c.denominator != 1 for c in want.values()), not want))
+    # Products with rational coefficients, integral ones and zero all occurred.
+    assert {("*", True, False), ("*", False, False), ("*", False, True)} <= seen
+    assert LaurentPoly({1: 1, 0: 1}) * LaurentPoly({1: 1, 0: -1}) == LaurentPoly({2: 1, 0: -1})
+
+
 # ---- differential tests: the gcd-free operations against the constructor
 
 _FACTORS = (
