@@ -3,7 +3,7 @@
 Subcommands: mul, reduce-t2, abelianize, certify-ab, reduce-t3,
 common-curve, generators, grade, oracle-check, closure-check, selftest.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure or closed stdout, 2 usage or parse error.
+1 verification failure or closed stdout, 2 usage, parse error or out of memory.
 oracle-check, closure-check and selftest run the sweeps of skeincalc.checks
 and take --box N; the SKEINCALC_BOX environment variable overrides the
 default.  A box below 1, from either source, is a usage error.
@@ -120,8 +120,7 @@ def _embedding(matrix: str, cols: str):
     # rows 'a,b,c;d,e,f;g,h,i' and columns 'i,j'
     from .torus3 import StandardEmbedding
     rows = [[int(x) for x in row.strip().split(",")] for row in matrix.split(";")]
-    i, j = (int(x) for x in cols.split(","))
-    return StandardEmbedding(rows, (i, j))
+    return StandardEmbedding(rows, tuple(int(x) for x in cols.split(",")))
 
 
 def cmd_common_curve(args) -> int:
@@ -350,6 +349,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

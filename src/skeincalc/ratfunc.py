@@ -19,7 +19,7 @@ times each term of b is the term of ord n at that exponent), b divides
 ord n, so the monic gcd is b itself: both quotients are exact, q and 1,
 and n/b is q * A^w over 1, w the lowest exponent of n.  That is the
 commutator scale 1/(A^k - A^-k) meeting a coefficient +-(A^k - A^-k),
-cancelled with no gcd, modular image or division.  The public
+cancelled with no gcd or division.  The public
 RationalFunction constructor moves the power of A out of the
 denominator, makes it monic, then calls _cancel.  The field operations
 start from canonical operands, so they call _cancel only where a common
@@ -39,23 +39,15 @@ x = a/b and y = c/d.
 When both operands are over 1 the result is the plain Laurent-polynomial
 sum or product, which is canonical as it stands.
 
-Most of the gcds that remain are 1, and poly_gcd proves that case with a
-modular image before it tries the Euclidean algorithm over Q (Brown, J.
-ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1).  Fix the prime p = 2^61 - 1
-and send each coefficient n/d to n * d^-1 mod p.  Suppose every
-denominator is prime to p, both leading coefficients stay nonzero mod p,
-and the images of a and b are coprime over F_p, as the Euclidean
-algorithm on the images shows.  Reduction mod p is then a ring map on
-the coefficients that keeps both degrees, so it maps the Sylvester
-matrix of a and b entry by entry onto that of their images:
-Res(a, b) mod p = Res(image a, image b), which is nonzero because the
-images are coprime.  So Res(a, b) is nonzero and gcd(a, b) = 1 over Q.
-This is a proof, not a heuristic.  Every other case takes the Euclidean
-algorithm over Q, which stays the only code that finds a nontrivial gcd
-other than the whole denominator: a denominator divisible by p, a
-leading coefficient that vanishes mod p, images with a common factor (a
-true common factor, or a prime of the resultant that happens to be p),
-or a zero operand.
+poly_gcd is one Euclidean algorithm over Z, Collins' primitive remainder
+sequence (Knuth, TAOCP vol. 2, 4.6.1).  Each operand is put over the
+common denominator of its coefficients and divided by its content, which
+leaves its monic gcd as it is.  Then (f, g) becomes (g, pp(r)), for the
+pseudo-remainder r = lc(g)^m * f - q * g of degree below g, whose m
+scaled steps need no division; pp divides out the content.  Each step
+keeps gcd(f, g) up to a constant, so the sequence ends in a nonzero
+constant (the gcd is 1) or in zero (the last g is the gcd), and only
+that monic result is built from Fractions.
 
 Coefficients are stored as fractions.Fraction, hence arbitrary
 precision.  The constructors turn int coefficients into Fractions and
@@ -73,12 +65,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-# The prime of poly_gcd's modular coprimality test (a Mersenne prime).
-_P = (1 << 61) - 1
 
 
 def _exact(c) -> Fraction:
@@ -244,10 +234,61 @@ _LP_ZERO = LaurentPoly._raw({})
 _LP_ONE = LaurentPoly._raw({0: _F1})
 
 
-def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Long division of ordinary polynomials: a = q*b + r with deg r < deg b."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
+def _primitive(p: list[int]) -> list[int]:
+    # The coefficient list p, highest degree first, without its leading
+    # zeros and divided by its content; [] for the zero polynomial.
+    c = gcd(*p)
+    if not c:
+        return []
+    while not p[0]:
+        del p[0]
+    return p if c == 1 else [x // c for x in p]
+
+
+def _primitive_part(a: LaurentPoly) -> list[int]:
+    # The ordinary polynomial a over its common denominator, as _primitive.
+    p = [0] * (max(a.terms, default=-1) + 1)
+    for e, n in _over_common_den(a.terms)[1]:
+        p[-1 - e] = n
+    return _primitive(p)
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    # lc(g)^m * f - q * g with fewer coefficients than g, for lists with
+    # len(f) >= len(g) >= 2: each of the m division steps that meets a
+    # nonzero leading coefficient scales by lc(g), so none needs a division.
+    lg, n = g[0], len(g)
+    r = f[:]
+    for i in range(len(f) - n + 1):
+        c = r[i]
+        if c:
+            if lg != 1:
+                r[i + 1 :] = [lg * x for x in r[i + 1 :]]
+            for j in range(1, n):
+                r[i + j] -= c * g[j]
+    return r[len(f) - n + 1 :]
+
+
+def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Monic gcd of two ordinary polynomials, 0 when both are 0.
+
+    The primitive remainder sequence over Z of the module docstring.
+    """
+    f, g = _primitive_part(a), _primitive_part(b)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        f, g = g, _primitive(_prem(f, g))
+    if g:
+        return _LP_ONE
+    if not f:
+        return _LP_ZERO
+    lc, top = f[0], len(f) - 1
+    return LaurentPoly._raw({top - i: Fraction(x, lc) for i, x in enumerate(f) if x})
+
+
+def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    # a / b for ordinary polynomials, by long division that must leave 0.
     rem = dict(a.terms)
     quo: dict[int, Fraction] = {}
     db = b.max_exp()
@@ -255,7 +296,7 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     while rem:
         d = max(rem)
         if d < db:
-            break
+            raise ArithmeticError("polynomial division is not exact")
         c = rem[d] / lb
         quo[d - db] = c
         for e, bc in b.terms.items():
@@ -265,85 +306,7 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
                 rem[k] = s
             elif k in rem:
                 del rem[k]
-    return LaurentPoly._raw(quo), LaurentPoly._raw(rem)
-
-
-def _image_mod_p(a: LaurentPoly) -> list[int] | None:
-    # Coefficients of the ordinary polynomial a mod _P, highest degree first,
-    # with c = n/d sent to n * d^-1; None when some d is divisible by _P.
-    terms = a.terms
-    out = [0] * (max(terms) + 1)
-    top = len(out) - 1
-    for e, c in terms.items():
-        n, d = c.as_integer_ratio()
-        if d == 1:
-            out[top - e] = n % _P
-        elif d % _P:
-            out[top - e] = n * pow(d, -1, _P) % _P
-        else:
-            return None
-    return out
-
-
-def _coprime_mod_p(a: LaurentPoly, b: LaurentPoly) -> bool:
-    # True only when a and b keep their degrees mod _P and their images are
-    # coprime over F_p; the module docstring shows that a, b are then coprime
-    # over Q.  False means nothing: the caller runs the Euclid over Q.
-    if not a.terms or not b.terms:
-        return False
-    fa, fb = _image_mod_p(a), _image_mod_p(b)
-    if fa is None or fb is None or not fa[0] or not fb[0]:
-        return False
-    # Images that both vanish at 1, or both at -1, share the factor A - 1 or
-    # A + 1 and are not coprime; the denominators A^2k - 1 of the commutator
-    # scales vanish at both, so most nontrivial gcds stop here.
-    if not sum(fa) % _P and not sum(fb) % _P:
-        return False
-    if not (sum(fa[::2]) - sum(fa[1::2])) % _P and not (sum(fb[::2]) - sum(fb[1::2])) % _P:
-        return False
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while len(fb) > 1:
-        # fa, fb = fb, fa mod fb; both lists start with a nonzero coefficient.
-        inv = pow(fb[0], -1, _P)
-        nb = len(fb)
-        r = fa[:]
-        for i in range(len(r) - nb + 1):
-            q = r[i] * inv % _P
-            if q:
-                for j in range(1, nb):
-                    r[i + j] = (r[i + j] - q * fb[j]) % _P
-        r = r[len(r) - nb + 1 :]
-        while r and not r[0]:
-            del r[0]
-        if not r:
-            return False
-        fa, fb = fb, r
-    return True
-
-
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of two ordinary polynomials.
-
-    A gcd of 1 that a modular image proves is returned at once; every
-    other gcd comes from the Euclidean algorithm over Q.
-    """
-    if _coprime_mod_p(a, b):
-        return _LP_ONE
-    ra, rb = a, b
-    while not rb.is_zero():
-        ra, rb = rb, poly_divmod(ra, rb)[1]
-    if ra.is_zero():
-        return _LP_ZERO
-    lc = ra.leading_coeff()
-    return ra if lc == 1 else ra.scale(_F1 / lc)
-
-
-def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    q, r = poly_divmod(a, b)
-    if not r.is_zero():
-        raise ArithmeticError("polynomial division is not exact")
-    return q
+    return LaurentPoly._raw(quo)
 
 
 def _monic(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

@@ -109,10 +109,9 @@ class StandardEmbedding(Record):
             raise ValueError("matrix must be 3x3")
         if mat_det(m) != 1:
             raise ValueError(f"matrix determinant is {mat_det(m)}, expected 1")
-        i, j = columns
-        if not (1 <= i <= 3 and 1 <= j <= 3 and i != j):
+        if len(columns) != 2 or not {*columns} <= {1, 2, 3} or columns[0] == columns[1]:
             raise ValueError("columns must be two distinct 1-based indices")
-        super().__init__(m, (i, j))
+        super().__init__(m, tuple(columns))
 
     def column(self, k: int) -> Vec3:
         return (self.matrix[0][k - 1], self.matrix[1][k - 1], self.matrix[2][k - 1])

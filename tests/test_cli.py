@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,15 @@ def test_common_curve_same_plane(capsys):
     )
     assert code == 2
     assert "coincide" in err
+
+
+def test_common_curve_column_count_exits_2(capsys):
+    identity = "1,0,0;0,1,0;0,0,1"
+    for cols1, cols2 in (("1", "1,3"), ("1,2", "1,2,3")):
+        code, out, err = run(capsys, "common-curve", "--", identity, cols1, identity, cols2)
+        assert code == 2
+        assert out == ""
+        assert err == "error: columns must be two distinct 1-based indices\n"
 
 
 def test_oracle_check(capsys):
@@ -292,3 +302,32 @@ def test_closed_stdout_exits_1_without_traceback(unbuffered):
         os.close(write_end)
     assert done.returncode == 1
     assert done.stderr == b""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # 1 GiB
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(A+1)*(1,0)/(1 + A^200000000)",  # a gcd in the constructor
+        "(1,0)/(1 + A^200000000) + (1,0)/(1 - A^3)",  # a gcd in a sum
+    ],
+)
+def test_out_of_memory_exits_2_without_traceback(expr):
+    # A gcd of degree 2*10^8 needs more memory than the limit allows.
+    done = subprocess.run(
+        [sys.executable, "-m", "skeincalc.cli", "reduce-t2", expr],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: out of memory\n"
+
+
+def test_sparse_huge_exponent_answers(capsys):
+    code, out, _ = run(capsys, "reduce-t2", "A^100000000*(1,0)")
+    assert code == 0
+    assert out == "(A^100000000)*(1,0)\n"

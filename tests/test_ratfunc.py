@@ -349,9 +349,9 @@ def test_operations_match_sympy_normal_forms():
             assert ours(got) == normal_form(expr), (x, y, got)
 
 
-# ---- poly_gcd: the modular coprimality test against a plain Euclid
+# ---- poly_gcd: the primitive remainder sequence over Z against a plain Euclid
 
-P = (1 << 61) - 1  # the prime of the modular test in ratfunc
+P = (1 << 61) - 1  # a large prime: pA + 1 and A + 1/p carry large and fractional coefficients
 
 
 def _euclid_gcd(a, b):
@@ -389,13 +389,34 @@ def _random_ordinary(rng, max_deg):
     return LaurentPoly(terms)
 
 
+def _random_integral(rng, max_deg, bound):
+    return LaurentPoly({e: rng.randint(-bound, bound) for e in range(rng.randint(0, max_deg) + 1)})
+
+
+def _integral_pairs(rng):
+    # Integral operands, which the remainder sequence takes with no denominator to clear.
+    nonmonic = LaurentPoly({0: -5, 2: 7}) * LaurentPoly({0: 2, 1: 3})  # (7A^2 - 5)(3A + 2)
+    for _ in range(40):
+        a, b = _random_integral(rng, 35, 9), _random_integral(rng, 8, 9)
+        yield a, b  # a degree gap like that of dense sums, 35 against 8
+        yield a.scale(Fraction(6)), b.scale(Fraction(-4))  # contents 6 and -4
+        # lc 21 and 147: pseudo-remainders scale by lc over several steps.
+        yield a * nonmonic, b * nonmonic
+        yield b * nonmonic * LaurentPoly({0: -5, 2: 7}), a * nonmonic.scale(Fraction(-4))
+        c, d = _random_integral(rng, 6, 3**90), _random_integral(rng, 4, 3**90)
+        yield c, d
+        yield c * nonmonic, d * nonmonic
+        yield LaurentPoly.constant(6), b  # constant operands
+        yield a, LaurentPoly.constant(-3**90)
+
+
 def test_poly_gcd_matches_plain_euclid():
     rng = random.Random(13)
     factors = [LaurentPoly(f) for f in _FACTORS] + [
         LaurentPoly({0: Fraction(1, 3), 1: 2}),  # 2A + 1/3, non-monic with a fraction
         LaurentPoly({0: -5, 2: 7}),  # 7A^2 - 5
     ]
-    kinds = set()
+    pairs = []
     for _ in range(800):
         a, b = _random_ordinary(rng, 4), _random_ordinary(rng, 4)
         if rng.random() < 0.5:  # plant a common factor
@@ -404,6 +425,10 @@ def test_poly_gcd_matches_plain_euclid():
                 g = g * rng.choice(factors)
             g = g.scale(Fraction(rng.choice((1, -2, 5)), rng.choice((1, 3))))
             a, b = a * g, b * g
+        pairs.append((a, b))
+    pairs += _integral_pairs(rng)
+    kinds = set()
+    for a, b in pairs:
         got = poly_gcd(a, b)
         want = _euclid_gcd(a.terms, b.terms)
         assert got.terms == want, (a, b)
