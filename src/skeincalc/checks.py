@@ -44,6 +44,19 @@ def oracle_sweep(box: int):
     return comparisons, None
 
 
+def oracle_diff(a, b):
+    """The terms on which the two sides of the oracle differ for labels a, b.
+
+    Returns [(key, skein side, quantum-torus side)] in decreasing key
+    order, where the skein side is the image of curve(a) * curve(b) and the
+    quantum-torus side the product of the images; [] when they agree.
+    """
+    lhs = embed_element(curve(*a) * curve(*b))
+    rhs = embed_element(curve(*a)) * embed_element(curve(*b))
+    keys = sorted(lhs.support() | rhs.support(), reverse=True)
+    return [(k, lhs.coeff(k), rhs.coeff(k)) for k in keys if lhs.coeff(k) != rhs.coeff(k)]
+
+
 def associativity_sweep(count: int, box: int, seed: int = 11):
     """Check (a*b)*c == a*(b*c) on seeded label triples.
 

@@ -169,11 +169,14 @@ def cmd_grade(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    from .checks import oracle_sweep
+    from .checks import oracle_diff, oracle_sweep
     box = _box(args, 3)
     comparisons, mismatch = oracle_sweep(box)
     if mismatch is not None:
-        print(f"oracle mismatch at labels {mismatch[0]} * {mismatch[1]}", file=sys.stderr)
+        a, b = mismatch
+        print(f"oracle mismatch at labels {a} * {b}", file=sys.stderr)
+        for (p, q), skein, torus in oracle_diff(a, b):
+            print(f"  l^{p}*m^{q}: skein side {skein}, quantum-torus side {torus}", file=sys.stderr)
         return 1
     if args.json:
         doc = {"box": box, "comparisons": comparisons, "mismatches": 0, "pass": True}

@@ -53,7 +53,9 @@ class QTorusElement(Combination):
         )
 
 
-@lru_cache(maxsize=None)
+# An oracle-check sweep of box 8 meets 544 labels; the bound keeps memory
+# flat however many labels a long run meets.
+@lru_cache(maxsize=4096)
 def embed_curve(p: int, q: int) -> QTorusElement:
     """Image of the (p,q) curve label: A^(-pq) * (l^p m^q + l^-p m^-q).
 

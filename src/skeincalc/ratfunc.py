@@ -1,7 +1,7 @@
 """Exact arithmetic over Q and the rational-function field Q(A).
 
 A Laurent polynomial in the formal variable A is a map {exponent:
-Fraction} that never stores a zero coefficient, so two polynomials are
+coefficient} that never stores a zero coefficient, so two polynomials are
 equal exactly when their maps are equal.  A rational function is a
 reduced pair num/den: the denominator is an ordinary polynomial (no
 negative powers of A), monic, with nonzero constant term, and shares no
@@ -47,17 +47,22 @@ pseudo-remainder r = lc(g)^m * f - q * g of degree below g, whose m
 scaled steps need no division; pp divides out the content.  Each step
 keeps gcd(f, g) up to a constant, so the sequence ends in a nonzero
 constant (the gcd is 1) or in zero (the last g is the gcd), and only
-that monic result is built from Fractions.
+that monic result takes a division.
 
-Coefficients are stored as fractions.Fraction, hence arbitrary
-precision.  The constructors turn int coefficients into Fractions and
-reject floats.  A product of Laurent polynomials writes each operand as
-integer numerators over D, the lcm of its denominators (1 when every
-coefficient is an integer), convolves the numerators as ints and builds
-one Fraction(n, Da * Db) per surviving exponent, in place of a Fraction
-product and sum for every pair of terms (Knuth, TAOCP vol. 2, 4.6.1).
-Fraction(n, Da * Db) reduces n against the product of the denominators,
-so every division, there and below, stays exact; nothing in this module
+Coefficients are exact rationals of arbitrary precision, stored in one
+type per value: an integral coefficient is an int, any other a
+fractions.Fraction with denominator greater than 1.  So equal values
+have equal maps, and arithmetic in Z[A^+-1], which holds every
+curve-label product and the numerator and denominator of every
+certificate scale, builds no Fraction.  The constructors turn an
+integral Fraction or a bool into an int and refuse floats.  A product
+of Laurent polynomials writes each operand as integer numerators over
+D, the lcm of its denominators (1 when every coefficient is an int),
+convolves the numerators as ints and divides each surviving sum by
+Da * Db only when that is not 1 (Knuth, TAOCP vol. 2, 4.6.1).  Every
+division, there and below, is Fraction(n, d), Fraction(x) / y or an
+n // d that leaves no remainder, never int / int, so it stays exact and
+its result is stored as an int when it is one; nothing in this module
 touches floating point.
 """
 
@@ -67,24 +72,39 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+
+def _norm(x: int | Fraction) -> int | Fraction:
+    # An exact int or Fraction as stored: an int when integral.
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
-def _exact(c) -> Fraction:
-    """A coefficient as a Fraction; a float is refused, never rounded."""
+def _exact(c) -> int | Fraction:
+    """A coefficient as stored: an int when integral, else a Fraction.
+
+    A float is refused, never rounded.
+    """
+    if type(c) is int:
+        return c
     if isinstance(c, float):
         raise TypeError(f"coefficient {c!r} is a float; Q(A) needs exact coefficients")
-    return c if type(c) is Fraction else Fraction(c)
+    return _norm(c if type(c) is Fraction else Fraction(c))
 
 
-def _over_common_den(terms: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
-    # (D, [(e, n)]) with every coefficient c = n / D, D the lcm of their
-    # denominators; D is 1 for integral coefficients.
+def _ratio(n: int, d: int) -> int | Fraction:
+    # n / d for ints, d nonzero, as stored.
+    return Fraction(n, d) if n % d else n // d
+
+
+def _over_common_den(terms: dict[int, int | Fraction]):
+    # (D, [(e, n)]) with every coefficient c = n / D, D the lcm of the
+    # Fractions' denominators; D is 1, and the pairs are the terms
+    # themselves, when every coefficient is an int.
     d = 1
     for c in terms.values():
-        if d % c.denominator:
+        if type(c) is not int and d % c.denominator:
             d = lcm(d, c.denominator)
+    if d == 1:
+        return 1, terms.items()
     return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
 
 
@@ -93,13 +113,13 @@ class LaurentPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        # Coefficients become Fractions (floats are refused); zeros are dropped.
+    def __init__(self, terms: dict[int, int | Fraction] | None = None):
+        # Coefficients become ints or Fractions (floats are refused); zeros are dropped.
         self.terms = {} if not terms else {e: x for e, c in terms.items() if (x := _exact(c))}
 
     @classmethod
-    def _raw(cls, terms: dict[int, Fraction]) -> "LaurentPoly":
-        # Internal: terms are known to contain no zeros.
+    def _raw(cls, terms: dict[int, int | Fraction]) -> "LaurentPoly":
+        # Internal: terms are known to be stored coefficients, none zero.
         poly = cls.__new__(cls)
         poly.terms = terms
         return poly
@@ -125,7 +145,7 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {0: _F1}
+        return self.terms == {0: 1}
 
     def is_ordinary(self) -> bool:
         """True when no negative power of A occurs."""
@@ -141,11 +161,11 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no exponents")
         return max(self.terms)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int | Fraction:
         return self.terms[self.max_exp()]
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(0, _F0)
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get(0, 0)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by A^k."""
@@ -153,10 +173,11 @@ class LaurentPoly:
             return self
         return LaurentPoly._raw({e + k: c for e, c in self.terms.items()})
 
-    def scale(self, factor: Fraction) -> "LaurentPoly":
+    def scale(self, factor: int | Fraction) -> "LaurentPoly":
+        factor = _exact(factor)
         if not factor:
             return _LP_ZERO
-        return LaurentPoly._raw({e: c * factor for e, c in self.terms.items()})
+        return LaurentPoly._raw({e: _norm(c * factor) for e, c in self.terms.items()})
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
@@ -167,7 +188,7 @@ class LaurentPoly:
             if e not in out:
                 out[e] = c
             elif s := out[e] + c:
-                out[e] = s
+                out[e] = _norm(s)
             else:
                 del out[e]
         return LaurentPoly._raw(out)
@@ -178,14 +199,14 @@ class LaurentPoly:
             if e not in out:
                 out[e] = -c
             elif s := out[e] - c:
-                out[e] = s
+                out[e] = _norm(s)
             else:
                 del out[e]
         return LaurentPoly._raw(out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         # One convolution of integer numerators over the operands' common
-        # denominators, and one Fraction per surviving term.
+        # denominators, and one division per surviving term when they are not 1.
         if not self.terms or not other.terms:
             return _LP_ZERO
         da, na = _over_common_den(self.terms)
@@ -197,7 +218,9 @@ class LaurentPoly:
                 e = e1 + e2
                 acc[e] = get(e, 0) + n1 * n2
         d = da * db
-        return LaurentPoly._raw({e: Fraction(n, d) for e, n in acc.items() if n})
+        if d == 1:
+            return LaurentPoly._raw({e: n for e, n in acc.items() if n})
+        return LaurentPoly._raw({e: _ratio(n, d) for e, n in acc.items() if n})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -231,7 +254,7 @@ class LaurentPoly:
 
 
 _LP_ZERO = LaurentPoly._raw({})
-_LP_ONE = LaurentPoly._raw({0: _F1})
+_LP_ONE = LaurentPoly._raw({0: 1})
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -284,24 +307,24 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if not f:
         return _LP_ZERO
     lc, top = f[0], len(f) - 1
-    return LaurentPoly._raw({top - i: Fraction(x, lc) for i, x in enumerate(f) if x})
+    return LaurentPoly._raw({top - i: _ratio(x, lc) for i, x in enumerate(f) if x})
 
 
 def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     # a / b for ordinary polynomials, by long division that must leave 0.
     rem = dict(a.terms)
-    quo: dict[int, Fraction] = {}
+    quo: dict[int, int | Fraction] = {}
     db = b.max_exp()
     lb = b.terms[db]
     while rem:
         d = max(rem)
         if d < db:
             raise ArithmeticError("polynomial division is not exact")
-        c = rem[d] / lb
+        c = _norm(Fraction(rem[d]) / lb)
         quo[d - db] = c
         for e, bc in b.terms.items():
             k = e + d - db
-            s = rem.get(k, _F0) - c * bc
+            s = _norm(rem.get(k, 0) - c * bc)
             if s:
                 rem[k] = s
             elif k in rem:
@@ -317,7 +340,7 @@ def _monic(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly
         num = num.shift(-v)
     lc = den.leading_coeff()
     if lc != 1:
-        inv = _F1 / lc
+        inv = Fraction(1) / lc
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
@@ -333,7 +356,7 @@ def _cancel(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     num_ord = num.shift(-w)
     terms = num_ord.terms
     if len(terms) == len(den.terms):
-        q = terms.get(den.max_exp(), _F0)
+        q = terms.get(den.max_exp(), 0)
         if all(terms.get(e) == q * x for e, x in den.terms.items()):
             return LaurentPoly._raw({w: q}), _LP_ONE
     g = poly_gcd(num_ord, den)
@@ -462,7 +485,9 @@ _RF_ZERO = RationalFunction(_LP_ZERO)
 _RF_ONE = RationalFunction(_LP_ONE)
 
 
-@lru_cache(maxsize=None)
+# An oracle-check sweep of box 8 meets 269 exponents; the bound keeps a
+# long run on parsed exponents from growing without limit.
+@lru_cache(maxsize=4096)
 def a_pow(k: int) -> RationalFunction:
     """The monomial A^k as a rational function (values are shared, immutable)."""
     return RationalFunction(LaurentPoly.monomial(k))

@@ -10,6 +10,7 @@ import pytest
 import skeincalc
 from skeincalc import checks
 from skeincalc.cli import main
+from skeincalc.torus2 import SkeinT2Element, curve
 
 # The directory holding the package, for child processes.
 PACKAGE_ROOT = str(Path(skeincalc.__file__).resolve().parents[1])
@@ -132,6 +133,21 @@ def test_oracle_check(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"box": 2, "comparisons": 625, "mismatches": 0, "pass": True}
+
+
+def test_oracle_check_mismatch_prints_the_differing_terms(capsys, monkeypatch):
+    # A curve product that adds (5,5): its image A^-25 (l^5 m^5 + l^-5 m^-5)
+    # is on the skein side only, one stderr line per differing key.
+    product = SkeinT2Element.__mul__
+    monkeypatch.setattr(SkeinT2Element, "__mul__", lambda x, y: product(x, y) + curve(5, 5))
+    code, out, err = run(capsys, "oracle-check", "--box", "1")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "oracle mismatch at labels (-1, -1) * (-1, -1)",
+        "  l^5*m^5: skein side A^-25, quantum-torus side 0",
+        "  l^-5*m^-5: skein side A^-25, quantum-torus side 0",
+    ]
 
 
 def test_closure_check(capsys):

@@ -101,13 +101,14 @@ def test_render_parse_roundtrip_on_elements():
         x = _random_element(rng)
         parsed = parse_element(str(x))
         assert parsed == x
-        # Every coefficient is a Q(A) value over Fraction coefficients: no
-        # Laurent polynomial or int leaks out of the parser.
+        # Every coefficient is a Q(A) value, never a Laurent polynomial or an
+        # int, and its own coefficients are stored as an int when integral,
+        # else as a Fraction.
         for c in parsed.terms.values():
             assert type(c) is RationalFunction
             assert type(c.num) is LaurentPoly and type(c.den) is LaurentPoly
             for coeff in (*c.num.terms.values(), *c.den.terms.values()):
-                assert type(coeff) is Fraction
+                assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
                 halves += coeff.denominator == 2
     assert halves  # canonical forms over 2*A + 1 carry 1/2
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from skeincalc.expressions import parse_scalar
-from skeincalc.ratfunc import LaurentPoly, RationalFunction, a_pow, poly_gcd
+from skeincalc.quantum_torus import embed_curve
+from skeincalc.ratfunc import LaurentPoly, RationalFunction, _poly_exact_div, a_pow, poly_gcd
 
 ZERO = RationalFunction.zero()
 ONE = RationalFunction.one()
@@ -74,10 +75,15 @@ def test_canonical_form_idempotent():
         assert again.num == x.num and again.den == x.den
 
 
+def _is_stored(c):
+    # The one stored type of each value: an int when integral, else a Fraction.
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def _assert_canonical(x):
     for terms in (x.num.terms, x.den.terms):
         for c in terms.values():
-            assert type(c) is Fraction and c
+            assert _is_stored(c) and c
     assert x.den.is_ordinary()
     assert x.den.leading_coeff() == 1
     assert x.den.constant_term() != 0
@@ -156,6 +162,59 @@ def test_float_coefficients_rejected():
         LaurentPoly({0: 1, 1: 0.0})
 
 
+def _coefficients(*polys):
+    return [c for p in polys for c in p.terms.values()]
+
+
+def test_integral_coefficients_are_ints():
+    # The constructors store an integral Fraction or a bool as an int.
+    assert LaurentPoly({0: Fraction(4, 2)}).terms == {0: 2}
+    assert type(LaurentPoly({0: Fraction(4, 2)}).terms[0]) is int
+    assert type(LaurentPoly({0: True}).terms[0]) is int
+    assert LaurentPoly({0: True}).terms == {0: 1}
+    # Sums, products and scalings that come out integral are stored as ints.
+    half_a = LaurentPoly({1: Fraction(1, 2)})
+    for p in (half_a + half_a, half_a - half_a.scale(-1), half_a * LaurentPoly({1: 2}), half_a.scale(2)):
+        assert [type(c) for c in _coefficients(p)] == [int], p
+    # Divisions: the constructor's monic denominator, the gcd, exact division.
+    x = RationalFunction(LaurentPoly({1: 2, 0: 2}), LaurentPoly({1: 4, 0: 2}))
+    assert x.num.terms == {1: Fraction(1, 2), 0: Fraction(1, 2)}
+    assert x.den.terms == {1: 1, 0: Fraction(1, 2)}
+    assert all(map(_is_stored, _coefficients(x.num, x.den)))
+    g = poly_gcd(LaurentPoly({1: 3, 0: 6}), LaurentPoly({1: 2, 0: 4}))
+    assert g.terms == {1: 1, 0: 2} and {type(c) for c in _coefficients(g)} == {int}
+    b = LaurentPoly({1: 2, 0: 3})
+    q = _poly_exact_div(LaurentPoly({2: 1, 0: -1}) * b, b)
+    assert q.terms == {2: 1, 0: -1} and {type(c) for c in _coefficients(q)} == {int}
+    # A float is still refused, zero included, as a coefficient or a factor.
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 0.0})
+    with pytest.raises(TypeError):
+        LaurentPoly({1: 1}).scale(0.5)
+    # Quotients of integral operands: exact, and stored as int or Fraction.
+    rng = random.Random(29)
+    for _ in range(200):
+        a = _random_integral(rng, 4, 6)
+        d = _random_integral(rng, 3, 6)
+        if d.is_zero():
+            continue
+        y = RationalFunction(a) / RationalFunction(d)
+        assert all(map(_is_stored, _coefficients(y.num, y.den))), y
+        assert y * RationalFunction(d) == RationalFunction(a)
+        assert RationalFunction(a, d) == y
+
+
+def test_caches_are_bounded():
+    # Exponents beyond the bound evict entries; the values stay right.
+    for cached in (a_pow, embed_curve):
+        assert cached.cache_info().maxsize is not None
+    bound = a_pow.cache_info().maxsize
+    for k in range(bound + 10):
+        a_pow(k)
+    assert a_pow.cache_info().currsize == bound
+    assert a_pow(0) == RationalFunction.one() and a_pow(bound + 9).num.terms == {bound + 9: 1}
+
+
 # ---- LaurentPoly *, + and - against a reference over Fraction
 
 M61 = (1 << 61) - 1  # a denominator prime to every other one drawn here
@@ -221,7 +280,7 @@ def test_laurent_operations_match_reference_over_fraction():
             want = _reference_poly_op(op, a_terms, b_terms)
             assert got.terms == want, (op, a, b)
             for c in got.terms.values():
-                assert type(c) is Fraction and c, (op, a, b)
+                assert _is_stored(c) and c, (op, a, b)
             seen.add((op, any(c.denominator != 1 for c in want.values()), not want))
     # Products with rational coefficients, integral ones and zero all occurred.
     assert {("*", True, False), ("*", False, False), ("*", False, True)} <= seen
@@ -355,7 +414,10 @@ P = (1 << 61) - 1  # a large prime: pA + 1 and A + 1/p carry large and fractiona
 
 
 def _euclid_gcd(a, b):
-    """Monic gcd of {exponent: Fraction} maps by the textbook Euclid over Q."""
+    """Monic gcd of {exponent: coefficient} maps by the textbook Euclid over Q."""
+    # Over Fraction, so that a / b of two int coefficients stays exact.
+    a = {e: Fraction(c) for e, c in a.items()}
+    b = {e: Fraction(c) for e, c in b.items()}
 
     def deg(p):
         return max(p) if p else -1
