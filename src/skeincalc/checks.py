@@ -1,12 +1,12 @@
 """The sweeps: exhaustive or seeded checks of the package's claims.
 
-Each sweep checks one claim over a box of labels or a seeded sample.  It
-returns the number of cases it checked, with its first counterexample
-(None if there is none) where a case can fail without raising; a count
-of 0 means the sweep proved nothing.  closure_sweep returns only a
-problem string or None.  A defective certificate or construction raises
-VerificationError.  The oracle-check, closure-check and selftest
-commands and the acceptance suite run these sweeps.  The random
+Each sweep checks one claim over a box of labels or a seeded sample and
+returns (cases checked, first counterexample or None); a count of 0
+means the sweep proved nothing.  The sweeps that build certificates or
+constructions (certificate_sweep, reduction_sweep, intersection_sweep,
+diffeo_sweep) raise VerificationError on a defect instead, so their
+counterexample is always None.  The oracle-check, closure-check and
+selftest commands and the acceptance suite run these sweeps.  The random
 generators draw from the caller's random.Random, so every seeded sweep
 is reproducible.
 """
@@ -113,22 +113,27 @@ def jw_basis_sweep(max_n: int):
     return max(max_n + 1, 0), None
 
 
-def closure_sweep(box: int):
-    part = abelianize.closure_check(box)
-    if len(part) != 4:
-        return f"box {box}: {len(part)} classes, expected 4"
-    root_of = {}
-    for rep, members in part.items():
-        for m in members:
-            root_of[m] = rep
-    for pt, rep in root_of.items():
-        if abelianize.reduce_label(*pt) != abelianize.reduce_label(*rep):
-            return f"box {box}: {pt} grouped with {rep}, parities differ"
-    return None
+def closure_sweep(*boxes: int):
+    """Check the union-find closure on each box against the parity classes.
+
+    Returns (labels partitioned, first problem string or None); a box
+    below 2 raises ValueError.
+    """
+    count = 0
+    for box in boxes:
+        part = abelianize.closure_check(box)
+        count += sum(map(len, part.values()))
+        if len(part) != 4:
+            return count, f"box {box}: {len(part)} classes, expected 4"
+        for rep, members in part.items():
+            for m in members:
+                if abelianize.reduce_label(*m) != abelianize.reduce_label(*rep):
+                    return count, f"box {box}: {m} grouped with {rep}, parities differ"
+    return count, None
 
 
-def certificate_sweep(box: int) -> int:
-    """Build and verify every label's certificate; returns (2*box+1)^2 - 1."""
+def certificate_sweep(box: int):
+    """Build and verify every label's certificate; returns ((2*box+1)^2 - 1, None)."""
     count = 0
     for p in range(-box, box + 1):
         for q in range(-box, box + 1):
@@ -136,10 +141,11 @@ def certificate_sweep(box: int) -> int:
                 continue
             abelianize.verify_certificate(abelianize.certificate(p, q))
             count += 1
-    return count
+    return count, None
 
 
 def reduction_sweep(box: int):
+    """Reduce and replay every coprime triple in the box; returns (triples, None)."""
     count = 0
     for p in range(-box, box + 1):
         for q in range(-box, box + 1):
@@ -152,7 +158,20 @@ def reduction_sweep(box: int):
                 if canonical.coords != c.parities():
                     raise VerificationError(f"{c} reduced to {canonical}")
                 torus3.replay_certificate(cert)
-    return count
+    return count, None
+
+
+def generators_sweep():
+    """Check the generator list: nine elements whose curves lie in the seven
+    nonzero classes of H_1(T^3; Z/2), one class each.
+
+    Returns (generators checked, the curves' sorted parity classes or None).
+    """
+    gens = torus3.generators()
+    classes = sorted(g.curve.parities() for g in gens if g.kind == "curve")
+    if len(gens) == 9 and len({*classes}) == 7 and (0, 0, 0) not in classes:
+        return len(gens), None
+    return len(gens), classes
 
 
 def _random_unimodular(rng: random.Random) -> list[list[int]]:
@@ -175,6 +194,7 @@ def _dot(u, v) -> int:
 
 
 def intersection_sweep(count: int, seed: int = 23):
+    """Check common_curve on seeded pairs of distinct tori; returns (count, None)."""
     rng = random.Random(seed)
     done = 0
     while done < count:
@@ -187,7 +207,7 @@ def intersection_sweep(count: int, seed: int = 23):
         if math.gcd(*w.coords) != 1:
             raise VerificationError(f"{w} is not primitive")
         done += 1
-    return done
+    return done, None
 
 
 def random_coprime_triple(rng: random.Random, bound: int = 20) -> Curve3:
@@ -198,6 +218,10 @@ def random_coprime_triple(rng: random.Random, bound: int = 20) -> Curve3:
 
 
 def diffeo_sweep(count: int, seed: int = 31):
+    """Check find_diffeo on the seven {0,1}-curves and count seeded curves.
+
+    Returns (count + 7, None).
+    """
     rng = random.Random(seed)
     curves = [g.curve for g in torus3.generators() if g.kind == "curve"]
     curves += [random_coprime_triple(rng) for _ in range(count)]
@@ -207,4 +231,4 @@ def diffeo_sweep(count: int, seed: int = 31):
             raise VerificationError(f"matrix for {c} has determinant {torus3.mat_det(m)}")
         if torus3.mat_vec(m, c.coords) != (1, 0, 0):
             raise VerificationError(f"matrix for {c} does not send it to (1,0,0)")
-    return len(curves)
+    return len(curves), None

@@ -5,8 +5,7 @@ common-curve, generators, grade, oracle-check, closure-check, selftest.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure or closed stdout, 2 usage, parse error or out of memory.
 oracle-check, closure-check and selftest run the sweeps of skeincalc.checks
-and take --box N; the SKEINCALC_BOX environment variable overrides the
-default.  A box below 1, from either source, is a usage error.
+and take --box N; a box below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -19,26 +18,16 @@ import sys
 from .errors import ExpressionError, VerificationError
 
 
-def _box(args, fallback: int) -> int:
-    """The sweep half-width: --box, else SKEINCALC_BOX, else the fallback.
+def _box(args) -> int:
+    """The sweep half-width from --box.
 
     A box below 1 is refused: a negative box holds no labels, so a sweep
     over it would report PASS having checked nothing, and box 0 holds only
     the degenerate label (0, 0).
     """
-    if args.box is not None:
-        box, source = args.box, "--box"
-    else:
-        value = os.environ.get("SKEINCALC_BOX")
-        if value is None:
-            return fallback
-        try:
-            box, source = int(value), "SKEINCALC_BOX"
-        except ValueError:
-            raise ValueError(f"SKEINCALC_BOX must be an integer, got {value!r}")
-    if box < 1:
-        raise ValueError(f"{source} must be at least 1, got {box}")
-    return box
+    if args.box < 1:
+        raise ValueError(f"--box must be at least 1, got {args.box}")
+    return args.box
 
 
 def _element_terms(x) -> list[dict]:
@@ -170,7 +159,7 @@ def cmd_grade(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     from .checks import oracle_diff, oracle_sweep
-    box = _box(args, 3)
+    box = _box(args)
     comparisons, mismatch = oracle_sweep(box)
     if mismatch is not None:
         a, b = mismatch
@@ -188,8 +177,8 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_closure_check(args) -> int:
     from .checks import closure_sweep
-    box = _box(args, 6)
-    problem = closure_sweep(box)
+    box = _box(args)
+    _, problem = closure_sweep(box)
     if problem is not None:
         print(f"closure mismatch: {problem}", file=sys.stderr)
         return 1
@@ -201,75 +190,31 @@ def cmd_closure_check(args) -> int:
     return 0
 
 
-def _swept(count: int, noun: str, problem: str | None = None):
-    # A selftest row for a sweep: a sweep that checked no case fails.
-    if problem is None and not count:
-        problem = "checked no cases"
-    return problem, f"{count} {noun}"
-
-
 def cmd_selftest(args) -> int:
-    from . import checks, torus3
-    box = _box(args, 3)
-
-    def run_oracle():
-        comparisons, mismatch = checks.oracle_sweep(box)
-        return _swept(comparisons, "pairs", f"mismatch at {mismatch}" if mismatch else None)
-
-    def run_assoc():
-        count, bad = checks.associativity_sweep(200, 10)
-        return _swept(count, "triples", f"counterexample {bad}" if bad else None)
-
-    def run_cheb():
-        count, bad = checks.chebyshev_sweep(3, 8)
-        return _swept(count, "cases in box 3, n <= 8", f"counterexample {bad}" if bad else None)
-
-    def run_jw():
-        count, bad = checks.jw_basis_sweep(20)
-        return _swept(count, "degrees, n <= 20", f"fails at n={bad}" if bad is not None else None)
-
-    def run_closure():
-        for n in range(2, 7):
-            problem = checks.closure_sweep(n)
-            if problem:
-                return problem, ""
-        return None, "boxes 2..6"
-
-    def run_certs():
-        return _swept(checks.certificate_sweep(4), "labels in box 4")
-
-    def run_reduce():
-        return _swept(checks.reduction_sweep(5), "curves (box 5)")
-
-    def run_generators():
-        gens = torus3.generators()
-        classes = {g.curve.parities() for g in gens if g.kind == "curve"}
-        ok = len(gens) == 9 and len(classes) == 7 and (0, 0, 0) not in classes
-        return (None if ok else "generator list malformed"), "9 elements"
-
-    def run_diffeo():
-        return _swept(checks.diffeo_sweep(100), "curves")
-
-    def run_intersections():
-        return _swept(checks.intersection_sweep(100), "pairs")
-
-    table = [
-        ("oracle homomorphism", run_oracle),
-        ("product associativity", run_assoc),
-        ("chebyshev labels", run_cheb),
-        ("second-kind basis", run_jw),
-        ("abelianization closure", run_closure),
-        ("commutator certificates", run_certs),
-        ("3-torus reduction", run_reduce),
-        ("nine generators", run_generators),
-        ("diffeomorphism to (1,0,0)", run_diffeo),
-        ("torus intersections", run_intersections),
-    ]
+    from . import checks
+    # (name, sweep, its arguments, detail for the case count, problem for the counterexample)
+    table = (
+        ("oracle homomorphism", checks.oracle_sweep, (_box(args),), "{} pairs", "mismatch at {}"),
+        ("product associativity", checks.associativity_sweep, (200, 10), "{} triples", "counterexample {}"),
+        ("chebyshev labels", checks.chebyshev_sweep, (3, 8), "{} cases in box 3, n <= 8", "counterexample {}"),
+        ("second-kind basis", checks.jw_basis_sweep, (20,), "{} degrees, n <= 20", "fails at n={}"),
+        ("abelianization closure", checks.closure_sweep, (2, 3, 4, 5, 6), "boxes 2..6", "{}"),
+        ("commutator certificates", checks.certificate_sweep, (4,), "{} labels in box 4", "{}"),
+        ("3-torus reduction", checks.reduction_sweep, (5,), "{} curves (box 5)", "{}"),
+        ("nine generators", checks.generators_sweep, (), "{} elements", "generator list malformed: {}"),
+        ("diffeomorphism to (1,0,0)", checks.diffeo_sweep, (100,), "{} curves", "{}"),
+        ("torus intersections", checks.intersection_sweep, (100,), "{} pairs", "{}"),
+    )
     results = []
     failed = False
-    for name, fn in table:
+    for name, sweep, sweep_args, detail, counterexample in table:
         try:
-            problem, detail = fn()
+            count, bad = sweep(*sweep_args)
+            if bad is not None:
+                problem = counterexample.format(bad)
+            else:  # a sweep that checked no case fails
+                problem = None if count else "checked no cases"
+            detail = detail.format(count)
         except (VerificationError, AssertionError) as exc:
             problem, detail = str(exc), ""
         except Exception as exc:  # any other fault is this check's FAIL row
@@ -329,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("triple", nargs="*", help="curves as 'p,q,r'")
 
     p = add("oracle-check", cmd_oracle_check, "quantum-torus oracle sweep")
-    p.add_argument("--box", type=int, default=None, help="half-width (default 3)")
+    p.add_argument("--box", type=int, default=3, help="half-width (default 3)")
 
     p = add("closure-check", cmd_closure_check, "union-find closure vs parity classes")
-    p.add_argument("--box", type=int, default=None, help="half-width (default 6)")
+    p.add_argument("--box", type=int, default=6, help="half-width (default 6)")
 
     p = add("selftest", cmd_selftest, "run all sweeps at default sizes")
-    p.add_argument("--box", type=int, default=None, help="oracle half-width (default 3)")
+    p.add_argument("--box", type=int, default=3, help="oracle half-width (default 3)")
 
     return parser
 

@@ -104,9 +104,12 @@ class StandardEmbedding(Record):
     __slots__ = ("matrix", "columns")
 
     def __init__(self, matrix, columns: tuple[int, int]):
-        m = tuple(tuple(int(x) for x in row) for row in matrix)
+        m = tuple(map(tuple, matrix))
         if len(m) != 3 or any(len(row) != 3 for row in m):
             raise ValueError("matrix must be 3x3")
+        for x in (*m[0], *m[1], *m[2], *columns):
+            if type(x) is not int:  # a float, str or bool is refused, never rounded
+                raise ValueError(f"matrix entries and columns must be ints, got {x!r}")
         if mat_det(m) != 1:
             raise ValueError(f"matrix determinant is {mat_det(m)}, expected 1")
         if len(columns) != 2 or not {*columns} <= {1, 2, 3} or columns[0] == columns[1]:
@@ -146,18 +149,10 @@ def extended_gcd(p: int, q: int) -> tuple[int, int, int]:
         raise ValueError("gcd of (0,0) is undefined here")
     if q == 0:
         return (abs(p), 1 if p > 0 else -1, 0)
-    old_r, r = p, q
-    old_s, s = 1, 0
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-    d, lam = old_r, old_s
-    if d < 0:
-        d, lam = -d, -lam
-    lam %= abs(q) // d
-    mu = (d - lam * p) // q
-    return (d, lam, mu)
+    d = math.gcd(p, q)
+    # lam is the inverse of p/d mod |q|/d; pow(x, -1, 1) is 0, right for |q| = d.
+    lam = pow(p // d, -1, abs(q) // d)
+    return (d, lam, (d - lam * p) // q)
 
 
 def build_m1(p: int, q: int) -> StandardEmbedding:

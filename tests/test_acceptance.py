@@ -12,6 +12,7 @@ from skeincalc.checks import (
     chebyshev_sweep,
     closure_sweep,
     diffeo_sweep,
+    generators_sweep,
     intersection_sweep,
     jw_basis_sweep,
     oracle_sweep,
@@ -55,25 +56,23 @@ def test_criterion_3_chebyshev_consistency():
 
 
 def test_criterion_4_abelianization_closure():
-    for n in range(2, 7):
-        assert closure_sweep(n) is None
+    # (2n+1)^2 - 1 labels partitioned in each box n = 2..6
+    assert closure_sweep(2, 3, 4, 5, 6) == (440, None)
     _report(4, "abelianization closure", "boxes 2..6, 4 parity classes each")
 
 
 def test_criterion_5_commutator_certificates():
     # verify_certificate includes the full telescoping expansion
-    count = certificate_sweep(6)
-    assert count == 168
-    _report(5, "commutator certificates", f"{count} labels, 0 failures")
+    assert certificate_sweep(6) == (168, None)
+    _report(5, "commutator certificates", "168 labels, 0 failures")
 
 
 def test_criterion_6_curve_reduction():
     started = time.time()
     # replay_certificate re-checks every step's determinant, pushes and parities
-    count = reduction_sweep(9)
+    assert reduction_sweep(9) == (5762, None)
     elapsed = time.time() - started
-    assert count == 5762
-    _report(6, "curve reduction", f"{count} coprime triples, 0 failures, {elapsed:.1f}s")
+    _report(6, "curve reduction", f"5762 coprime triples, 0 failures, {elapsed:.1f}s")
 
 
 def test_criterion_7_generators():
@@ -90,13 +89,13 @@ def test_criterion_7_generators():
     assert len(buckets) == 8
     assert buckets[(0, 0, 0)] == []
     assert all(len(buckets[h]) == 1 for h in nonzero)
+    assert generators_sweep() == (9, None)
     _report(7, "generators", "9 elements, 7 curves <-> (Z2)^3 \\ 0, 8 buckets")
 
 
 def test_criterion_8_diffeomorphism():
-    count = diffeo_sweep(500, seed=20250810)
-    assert count == 507
-    _report(8, "diffeomorphism", f"{count} curves (7 canonical + 500 random)")
+    assert diffeo_sweep(500, seed=20250810) == (507, None)
+    _report(8, "diffeomorphism", "507 curves (7 canonical + 500 random)")
 
 
 def test_criterion_9_intersection():
@@ -106,5 +105,5 @@ def test_criterion_9_intersection():
     assert e2.normal() == (1, 2, 3)
     assert common_curve(e1, e2) == Curve3.of(-2, 1, 0)
 
-    assert intersection_sweep(500, seed=20250811) == 500
+    assert intersection_sweep(500, seed=20250811) == (500, None)
     _report(9, "intersection", "worked case + 500 random distinct pairs")

@@ -156,11 +156,11 @@ def test_closure_check(capsys):
     assert "pass" in out
 
 
-def test_box_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("SKEINCALC_BOX", "2")
-    code, out, _ = run(capsys, "oracle-check", "--json")
-    assert code == 0
-    assert json.loads(out)["box"] == 2
+def test_box_environment_variable_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("SKEINCALC_BOX", "-1")
+    code, out, err = run(capsys, "oracle-check", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["box"] == 3
 
 
 def test_selftest_small(capsys):
@@ -208,6 +208,18 @@ def test_empty_sweeps_report_zero_cases_and_selftest_fails_them(capsys, monkeypa
     ]
 
 
+def test_selftest_rows_print_each_counterexample(capsys, monkeypatch):
+    # n = 0 is a counterexample too, though it is falsy.
+    monkeypatch.setattr(checks, "jw_basis_sweep", lambda max_n: (1, 0))
+    monkeypatch.setattr(checks.torus3, "generators", lambda: ())
+    code, out, err = run(capsys, "selftest", "--box", "1")
+    assert code == 1 and err == ""
+    assert [row for row in out.splitlines() if "FAIL" in row] == [
+        "second-kind basis            FAIL  (fails at n=0)",
+        "nine generators              FAIL  (generator list malformed: [])",
+    ]
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "reduce-t2", "(1,0) +")
     assert code == 2
@@ -245,22 +257,16 @@ def test_non_decimal_digits_exit_2(capsys):
         assert err == f"parse error: line 1, column {col}: unexpected character '\u00b2'\n"
 
 
-def test_box_below_1_exits_2(capsys, monkeypatch):
+def test_box_below_1_exits_2(capsys):
     for argv in (["oracle-check", "--box", "-3"], ["selftest", "--box", "0"], ["closure-check", "--box", "-1"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == f"error: --box must be at least 1, got {argv[-1]}\n"
-    monkeypatch.setenv("SKEINCALC_BOX", "-1")
-    for command in ("selftest", "oracle-check"):
-        code, out, err = run(capsys, command)
-        assert code == 2
-        assert out == ""
-        assert err == "error: SKEINCALC_BOX must be at least 1, got -1\n"
 
 
 def _child_env(**extra) -> dict:
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "SKEINCALC_BOX")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return {**env, "PYTHONPATH": PACKAGE_ROOT, **extra}
 
 

@@ -78,7 +78,6 @@ def invocations() -> list[list[str]]:
 def record() -> None:
     sys.path.insert(0, str(ROOT / "bench"))
     os.environ.update(ENV)
-    os.environ.pop("SKEINCALC_BOX", None)
     records = [run_in_process(argv) for argv in invocations()]
     GOLDEN.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"{len(records)} invocations recorded in {GOLDEN}")
@@ -93,7 +92,6 @@ def golden() -> list[dict]:
 def cli_env(monkeypatch):
     for key, value in ENV.items():
         monkeypatch.setenv(key, value)
-    monkeypatch.delenv("SKEINCALC_BOX", raising=False)
 
 
 def test_golden_covers_every_subcommand_in_both_forms(golden):
@@ -117,7 +115,6 @@ def test_spawned_bytes_match_golden(golden):
         next(r for r in golden if r["argv"] == ["--help"]),
     ]
     env = {**os.environ, **ENV, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    env.pop("SKEINCALC_BOX", None)
     for want in picks:
         done = subprocess.run(
             [sys.executable, "-m", "skeincalc.cli", *want["argv"]],

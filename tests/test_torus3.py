@@ -104,6 +104,22 @@ def test_embedding_rejects_bad_matrices():
         StandardEmbedding(((1, 0, 0), (0, 1, 0), (0, 0, -1)), (1, 2))
     with pytest.raises(ValueError):
         StandardEmbedding(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1))
+    # An entry that is not an int is refused, never rounded: int(1.9) would
+    # make the first matrix the identity.
+    for x in (1.9, 1.0, "1", True):
+        with pytest.raises(ValueError, match="must be ints"):
+            StandardEmbedding(((x, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 2))
+    with pytest.raises(ValueError, match="must be ints"):
+        StandardEmbedding(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1.0, 2))
+
+
+def test_certificate_with_a_fractional_matrix_entry_is_refused():
+    _, cert = reduce_curve(Curve3.of(2, 3, 5))
+    doc = json.loads(json.dumps(cert.to_json_dict()))
+    assert doc["steps"][0]["matrix"][0][0] == 2
+    doc["steps"][0]["matrix"][0][0] = 2.5
+    with pytest.raises(ValueError, match="got 2.5"):
+        Reduction3Certificate.from_json_dict(doc)
 
 
 def test_push_examples():
