@@ -23,7 +23,7 @@ _HOMES = {
     " framing_twist scalar t_to_jw",
     "torus3": "Curve3 Generator Reduction3Certificate ReductionStep StandardEmbedding"
     " build_m1 build_m2 build_m3 common_curve extended_gcd find_diffeo generators"
-    " grade_decompose homology_class reduce_curve replay_certificate trivial_embedding",
+    " grade_decompose reduce_curve replay_certificate trivial_embedding",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

@@ -4,17 +4,18 @@ In the quotient by the span of all ab - ba, every curve label collapses
 onto one of five classes fixed by the parities of its coordinates: the
 empty link, (1,0), (0,1), (1,1) and (2,0) (the last standing for two
 parallel copies of a curve).  certificate() produces an auditable chain
-of scaled commutators witnessing the collapse of a given label, each step
-re-checkable by expanding one commutator through the curve product, and
-closure_check() re-derives the partition independently with a union-find
-over a finite box of labels.
+of at most two steps witnessing the collapse of a given label.  Each step
+is one scaled commutator between two labels with equal parities and a
+nonzero determinant, re-checkable by expanding that commutator through
+the curve product.  closure_check() re-derives the partition
+independently with a union-find over a finite box of labels.
 """
 
 from __future__ import annotations
 
 from .combination import Combination
 from .errors import Record, VerificationError
-from .ratfunc import RationalFunction, a_pow
+from .ratfunc import a_pow
 from .torus2 import EMPTY, SkeinT2Element, canonical_pair, commutator, curve
 
 #: The five classes spanning the quotient, in render order.
@@ -97,58 +98,34 @@ class AbCertificate(Record):
         return cls(tuple(doc["input"]), tuple(doc["canonical"]), steps)
 
 
-def _inverse_scale(k: int) -> RationalFunction:
-    # 1/(A^k - A^-k); requires k != 0.
-    return (a_pow(k) - a_pow(-k)).inverse()
+def _step(x: tuple[int, int], y: tuple[int, int]) -> CertStep:
+    # x = u + v and y = u - v, so [v, u] = (A^d - A^-d) (x - y), d = det(v, u).
+    u = ((x[0] + y[0]) // 2, (x[1] + y[1]) // 2)
+    v = ((x[0] - y[0]) // 2, (x[1] - y[1]) // 2)
+    d = v[0] * u[1] - v[1] * u[0]
+    return CertStep(x, y, v, (a_pow(d) - a_pow(-d)).inverse())
 
 
 def certificate(p: int, q: int) -> AbCertificate:
     """Commutator certificate collapsing (p,q) onto its parity class.
 
-    The chain routes the way the underlying rewrite argument does: the
-    first coordinate is reduced mod 2 with conjugator (1,0) while the
-    second coordinate is nonzero, then the second with (0,1) while the
-    first is nonzero, with (p,0) and (0,q) taking explicit detours through
-    (p,2) and (2,q).  Every step moves by exactly +-2 along its
-    conjugator, so each one is a single scaled commutator.
+    Two labels x != y with equal parities and det(x, y) != 0 are one
+    scaled commutator apart, so a label steps straight to its class.  A
+    label parallel to its class (c0, c1), such as (p,0) or (0,q), first
+    steps to (c0, c1+2), or to (2, c1) when c0 = 0; that label is
+    parallel to neither.
     """
     if p == 0 and q == 0:
         raise ValueError("(0,0) is not a curve label")
     start = canonical_pair(p, q)
     target = reduce_label(p, q)
-    steps: list[CertStep] = []
-    cur = start
-
-    def step_to(nxt: tuple[int, int]) -> tuple[int, int]:
-        conj = (abs(nxt[0] - cur[0]) // 2, abs(nxt[1] - cur[1]) // 2)
-        mid = ((cur[0] + nxt[0]) // 2, (cur[1] + nxt[1]) // 2)
-        d = conj[0] * mid[1] - conj[1] * mid[0]
-        plus = (conj[0] + mid[0], conj[1] + mid[1])
-        # scale * commutator(conj, mid) must expand to curve(cur) - curve(nxt)
-        if canonical_pair(*plus) == canonical_pair(*cur):
-            scale = _inverse_scale(d)
-        else:
-            scale = _inverse_scale(-d)
-        steps.append(CertStep(cur, nxt, conj, scale))
-        return nxt
-
-    if canonical_pair(*cur) != target:
-        if cur[1] == 0:
-            # (p,0) with p >= 2: lift the second coordinate first.
-            cur = step_to((cur[0], 2))
-        while cur[0] >= 2:
-            cur = step_to((cur[0] - 2, cur[1]))
-        if cur[0] == 1:
-            while cur[1] not in (0, 1):
-                cur = step_to((1, cur[1] - 2) if cur[1] >= 2 else (1, cur[1] + 2))
-        elif canonical_pair(*cur) != target:
-            # (0,q) with |q| >= 2: detour through (2,q).
-            cur = step_to((2, cur[1]))
-            while cur[1] not in (0, 1):
-                cur = step_to((2, cur[1] - 2) if cur[1] >= 2 else (2, cur[1] + 2))
-            if cur == (2, 1):
-                cur = step_to((0, 1))
-    return AbCertificate((p, q), target, tuple(steps))
+    if start == target:
+        return AbCertificate((p, q), target, ())
+    if start[0] * target[1] - start[1] * target[0]:
+        return AbCertificate((p, q), target, (_step(start, target),))
+    c0, c1 = target
+    via = (c0, c1 + 2) if c0 else (2, c1)
+    return AbCertificate((p, q), target, (_step(start, via), _step(via, target)))
 
 
 def verify_certificate(cert: AbCertificate) -> None:

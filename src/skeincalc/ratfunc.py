@@ -147,10 +147,6 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self.terms == {0: 1}
 
-    def is_ordinary(self) -> bool:
-        """True when no negative power of A occurs."""
-        return all(e >= 0 for e in self.terms)
-
     def min_exp(self) -> int:
         if not self.terms:
             raise ValueError("the zero polynomial has no exponents")
@@ -163,9 +159,6 @@ class LaurentPoly:
 
     def leading_coeff(self) -> int | Fraction:
         return self.terms[self.max_exp()]
-
-    def constant_term(self) -> int | Fraction:
-        return self.terms.get(0, 0)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by A^k."""
@@ -424,10 +417,6 @@ class RationalFunction:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def is_invertible(self) -> bool:
-        """Every nonzero element of the field Q(A) is invertible."""
-        return not self.num.is_zero()
 
     def inverse(self) -> "RationalFunction":
         if self.num.is_zero():

@@ -324,11 +324,6 @@ def common_curve(e1: StandardEmbedding, e2: StandardEmbedding) -> Curve3:
     return Curve3.of(w[0] // g, w[1] // g, w[2] // g)
 
 
-def homology_class(c: Curve3) -> Vec3:
-    """Class of the curve in first homology mod 2: componentwise parities."""
-    return c.parities()
-
-
 def find_diffeo(c: Curve3) -> Mat3:
     """A determinant-1 integer matrix M with M*(p,q,r) = (1,0,0).
 

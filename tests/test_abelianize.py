@@ -7,6 +7,7 @@ from skeincalc.abelianize import (
     AbCertificate,
     AbElement,
     CLASSES,
+    CertStep,
     certificate,
     closure_check,
     reduce_element,
@@ -83,13 +84,21 @@ def test_certificate_even_even_chain():
 
 
 def test_certificate_box_sweep():
-    for p in range(-4, 5):
-        for q in range(-4, 5):
+    for p in range(-12, 13):
+        for q in range(-12, 13):
             if (p, q) == (0, 0):
                 continue
             cert = certificate(p, q)
             assert cert.canonical == reduce_label(p, q)
+            assert len(cert.steps) <= 2
             verify_certificate(cert)
+    # far labels: one step off the axis, two along it
+    for label, length in (((10**9 + 1, 1), 1), ((10**12, 0), 2)):
+        cert = certificate(*label)
+        assert len(cert.steps) == length
+        verify_certificate(cert)
+        doc = json.loads(json.dumps(cert.to_json_dict()))
+        assert AbCertificate.from_json_dict(doc) == cert
 
 
 def test_certificate_verifier_rejects_tampering():
@@ -97,6 +106,21 @@ def test_certificate_verifier_rejects_tampering():
     bad = AbCertificate(cert.source, cert.canonical, cert.steps[:-1])
     with pytest.raises(VerificationError):
         verify_certificate(bad)
+    cert = certificate(4, 0)
+    assert len(cert.steps) == 2
+    first, second = cert.steps
+    x, y, v, s = first.from_pair, first.to_pair, first.conjugator, first.scale
+    for steps in (
+        (CertStep(x, y, v, -s), second),
+        (first, CertStep(second.from_pair, second.to_pair, second.conjugator, -second.scale)),
+        (CertStep(x, y, (1, 1), s), second),  # (1, 1) is not +-v
+        (CertStep(x, (y[0], -y[1]), v, s), second),
+    ):
+        with pytest.raises(VerificationError):
+            verify_certificate(AbCertificate(cert.source, cert.canonical, steps))
+    # curves are unoriented, so the negated conjugator names the same curve
+    flipped = CertStep(x, y, (-v[0], -v[1]), s)
+    verify_certificate(AbCertificate(cert.source, cert.canonical, (flipped, second)))
 
 
 def test_certificate_json_roundtrip():

@@ -33,7 +33,7 @@ OLD_EXPORTS = {
     " framing_twist scalar t_to_jw",
     "torus3": "Curve3 Generator Reduction3Certificate ReductionStep StandardEmbedding"
     " build_m1 build_m2 build_m3 common_curve extended_gcd find_diffeo generators"
-    " grade_decompose homology_class reduce_curve replay_certificate trivial_embedding",
+    " grade_decompose reduce_curve replay_certificate trivial_embedding",
 }
 OLD_NAMES = {name for names in OLD_EXPORTS.values() for name in names.split()}
 
@@ -153,7 +153,7 @@ def test_standard_embedding_validation_is_unchanged():
 
 
 def test_every_old_reexport_resolves_to_its_home_object():
-    assert len(OLD_NAMES) == 45
+    assert len(OLD_NAMES) == 44
     for module, names in OLD_EXPORTS.items():
         home = importlib.import_module(f"skeincalc.{module}")
         for name in names.split():

@@ -17,7 +17,6 @@ from skeincalc.torus3 import (
     find_diffeo,
     generators,
     grade_decompose,
-    homology_class,
     mat_det,
     mat_vec,
     reduce_curve,
@@ -242,8 +241,8 @@ def test_common_curve_same_plane_rejected():
 
 
 def test_homology_class():
-    assert homology_class(Curve3.of(2, 3, 5)) == (0, 1, 1)
-    assert homology_class(Curve3.of(1, 0, 0)) == (1, 0, 0)
+    assert Curve3.of(2, 3, 5).parities() == (0, 1, 1)
+    assert Curve3.of(1, 0, 0).parities() == (1, 0, 0)
 
 
 def test_find_diffeo_identity_case():
