@@ -25,13 +25,27 @@ next, scalars are central and canonical forms are unique, so the result
 is the same canonical element as evaluating everything in the skein
 algebra, at the cost of polynomial arithmetic where no '/' occurs.
 
+A parenthesized Laurent polynomial with integer coefficients, such as
+(2*A^-5 - A + 3), is scanned as one POLY token: '(' then signed
+monomials c, A^e or c*A^e joined by '+' or '-', then ')', with spaces
+as the only blanks.  Every rendered coefficient is made of such
+literals.  The parser sums its terms straight into the polynomial's
+coefficient map, with no product or sum per monomial; the value is the
+one the grammar gives the same text.  Any other text at a '(' (a tab or
+newline, a '/', a curve label, a malformed power) is left to the
+grammar token by token.
+
 Nesting through '(' and unary minus is bounded by MAX_DEPTH, so a deep
-input ends in an ExpressionError rather than a RecursionError.  Errors
-carry the line, column and offending token.  A token is a plain
+input ends in an ExpressionError rather than a RecursionError.  A
+literal is as deep as the grammar nests it: one level for its '(' and
+one more for a leading minus.  Errors carry the line, column and
+offending token; a literal is named by its '('.  A token is a plain
 (kind, text, line, col) tuple.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ExpressionError
 from .ratfunc import LaurentPoly, RationalFunction, a_pow
@@ -49,6 +63,13 @@ Value = LaurentPoly | RationalFunction | SkeinT2Element
 
 Token = tuple[str, str, int, int]  # (kind, text, line, col)
 
+
+# The text of a POLY token, a Laurent-polynomial literal (module docstring).
+_MONO = r"(?:\d+(?: *\* *A(?: *\^ *-? *\d+)?)?|A(?: *\^ *-? *\d+)?)"
+_LITERAL = re.compile(rf"\( *-? *{_MONO}(?: *[+-] *{_MONO})* *\)")
+# One signed monomial of a literal with its spaces removed; it also matches
+# the empty string, at the parentheses.
+_TERM = re.compile(r"([+-]?)(\d*)\*?(A?)(?:\^(-?\d+))?")
 
 _SINGLE = {
     "+": "PLUS",
@@ -78,6 +99,12 @@ def tokenize(source: str) -> list[Token]:
             col = 1
             continue
         start = col
+        if ch == "(" and (m := _LITERAL.match(source, i)):
+            j = m.end()
+            tokens.append(("POLY", source[i:j], line, start))
+            col += j - i
+            i = j
+            continue
         if ch.isdecimal():  # exactly the digits int() accepts
             j = i
             while j < n and source[j].isdecimal():
@@ -104,6 +131,22 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
+def _literal(text: str) -> LaurentPoly:
+    # The Laurent polynomial a POLY token spells, summed term by term.
+    acc: dict[int, int] = {}
+    get = acc.get
+    for sign, digits, a, exp in _TERM.findall(text.replace(" ", "")):
+        if a:
+            e = int(exp) if exp else 1
+        elif digits:
+            e = 0
+        else:
+            continue  # the empty matches at '(' and ')'
+        c = int(digits) if digits else 1
+        acc[e] = get(e, 0) + (-c if sign == "-" else c)
+    return LaurentPoly._raw({e: c for e, c in acc.items() if c})
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         # peek looks at most 3 tokens ahead, for a curve label's "( - INT ,",
@@ -125,13 +168,11 @@ class _Parser:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok[0] != kind:
-            _, text, line, col = tok
-            raise ExpressionError(line, col, f"expected {what}, found {text or 'end of input'!r}")
+            raise ExpressionError(tok[2], tok[3], f"expected {what}, found {_shown(tok)!r}")
         return self.advance()
 
     def fail(self, tok: Token, message: str):
-        _, text, line, col = tok
-        raise ExpressionError(line, col, f"{message} (near {text or 'end of input'!r})")
+        raise ExpressionError(tok[2], tok[3], f"{message} (near {_shown(tok)!r})")
 
     def _nest(self, tok: Token) -> None:
         # One level deeper, through '(' or a unary minus.
@@ -216,6 +257,17 @@ class _Parser:
             if text == "empty":
                 return LaurentPoly.one()
             self.fail(tok, f"unknown name {text!r}")
+        if kind == "POLY":
+            # As deep as the grammar would nest it: one level for the '(' and
+            # one more for a leading unary minus, reported at that '-'.
+            self._nest(tok)
+            body = text[1:].lstrip(" ")
+            if body[0] == "-":
+                self._nest(("MINUS", "-", tok[2], tok[3] + len(text) - len(body)))
+                self.depth -= 1
+            self.depth -= 1
+            self.advance()
+            return _literal(text)
         if kind == "LPAREN":
             # Curve label when an integer then a comma follow.
             k = 1 if self.peek(1)[0] != "MINUS" else 2
@@ -232,6 +284,12 @@ class _Parser:
             self.depth -= 1
             return value
         self.fail(tok, "expected a number, 'A', 'empty', a curve label or '('")
+
+
+def _shown(tok: Token) -> str:
+    # A token as an error message names it; a literal by its '('.
+    kind, text = tok[0], tok[1]
+    return "(" if kind == "POLY" else text or "end of input"
 
 
 def _scalar(value: LaurentPoly | RationalFunction) -> RationalFunction:

@@ -9,6 +9,13 @@ multiplication is forced by the single commutation rule
 rather than by any curve combinatorics.  Elements are finite sums
 sum c_{p,q} l^p m^q kept in normal order (all l factors on the left) and
 stored as {(p, q): coefficient}, which is a canonical form.
+
+The product groups each operand's monomials by coefficient and
+multiplies each distinct pair of coefficients once, then scales that
+product by A^(-2qr) for each pair of monomials that carries it; this is
+the term-by-term product, by bilinearity.  The image of a curve carries
+one coefficient on both of its monomials, so the product of two images
+of n-term elements takes n^2 coefficient products, not (2n)^2.
 """
 
 from __future__ import annotations
@@ -37,12 +44,19 @@ class QTorusElement(Combination):
         return cls({(p, q): coeff if coeff is not None else RationalFunction.one()})
 
     def __mul__(self, other: "QTorusElement") -> "QTorusElement":
-        # (l^p m^q)(l^r m^s) = A^(-2qr) l^(p+r) m^(q+s)
-        return QTorusElement.collect(
-            ((p + r, q + s), ca * cb * a_pow(-2 * q * r))
-            for (p, q), ca in self.terms.items()
-            for (r, s), cb in other.terms.items()
-        )
+        # (l^p m^q)(l^r m^s) = A^(-2qr) l^(p+r) m^(q+s), with one product per
+        # distinct pair of coefficients (see the module docstring).
+        groups = _by_coeff(other)
+
+        def products():
+            for ca, keys_a in _by_coeff(self):
+                for cb, keys_b in groups:
+                    c = ca * cb
+                    for p, q in keys_a:
+                        for r, s in keys_b:
+                            yield (p + r, q + s), c * a_pow(-2 * q * r)
+
+        return QTorusElement.collect(products())
 
     def __str__(self) -> str:
         if not self.terms:
@@ -51,6 +65,15 @@ class QTorusElement(Combination):
             f"({self.terms[k]})*l^{k[0]}*m^{k[1]}"
             for k in sorted(self.terms, reverse=True)
         )
+
+
+def _by_coeff(x: QTorusElement):
+    # The terms of x as (coefficient, keys that carry it) pairs, one per
+    # distinct coefficient.
+    groups: dict[RationalFunction, list[tuple[int, int]]] = {}
+    for key, c in x.terms.items():
+        groups.setdefault(c, []).append(key)
+    return groups.items()
 
 
 # An oracle-check sweep of box 8 meets 544 labels; the bound keeps memory

@@ -38,7 +38,8 @@ def test_criterion_1_oracle_equivalence():
     comparisons, mismatch = oracle_sweep(box)
     elapsed = time.time() - started
     assert mismatch is None, mismatch
-    assert comparisons == (2 * box + 1) ** 4
+    # 145 labels: (0, 0) and the 144 canonical labels of the box, each pair once.
+    assert comparisons == 145 ** 2
     _report(1, "oracle equivalence", f"{comparisons} pairs, 0 mismatches, {elapsed:.1f}s")
 
 

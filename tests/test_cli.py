@@ -132,7 +132,7 @@ def test_oracle_check(capsys):
     code, out, _ = run(capsys, "oracle-check", "--box", "2", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc == {"box": 2, "comparisons": 625, "mismatches": 0, "pass": True}
+    assert doc == {"box": 2, "comparisons": 169, "mismatches": 0, "pass": True}
 
 
 def test_oracle_check_mismatch_prints_the_differing_terms(capsys, monkeypatch):
@@ -144,7 +144,7 @@ def test_oracle_check_mismatch_prints_the_differing_terms(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.splitlines() == [
-        "oracle mismatch at labels (-1, -1) * (-1, -1)",
+        "oracle mismatch at labels (0, 0) * (0, 0)",
         "  l^5*m^5: skein side A^-25, quantum-torus side 0",
         "  l^-5*m^-5: skein side A^-25, quantum-torus side 0",
     ]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeincalc.expressions import MAX_DEPTH, ExpressionError, parse_element, parse_scalar
+from skeincalc.expressions import MAX_DEPTH, ExpressionError, parse_element, parse_scalar, tokenize
 from skeincalc.ratfunc import LaurentPoly, RationalFunction, a_pow
 from skeincalc.torus2 import SkeinT2Element, commutator, curve, scalar
 
@@ -236,3 +236,104 @@ def test_nesting_depth_is_bounded():
             parse_element(text)
         assert (err.value.line, err.value.col) == (1, col)
         assert f"nested deeper than {MAX_DEPTH} levels" in str(err.value)
+
+
+# ---- parenthesized Laurent-polynomial literals, scanned as one token
+
+# ASCII, Arabic-Indic and Devanagari digits; int() reads each of them.
+_DIGITS = ["".join(chr(zero + i) for i in range(10)) for zero in (0x30, 0x660, 0x966)]
+
+
+def _digits(rng, n):
+    script = rng.choice(_DIGITS)
+    return "".join(script[int(d)] for d in str(n))
+
+
+def _random_literal(rng):
+    """Seeded literal text and its (exponent, coefficient) terms."""
+    def sp():
+        return " " * rng.choice((0, 0, 1, 2))
+
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        c = rng.choice((0, 1, 1, 2, 3, 10**rng.randint(20, 60) + rng.randint(0, 9)))
+        e = rng.choice((0, 1, rng.randint(-6, 6), rng.randint(-6, 6)))
+        terms.append((rng.choice((1, -1)), c, e))
+    text = "(" + sp()
+    for i, (sign, c, e) in enumerate(terms):
+        if sign < 0:
+            text += "-" + sp()
+        elif i:
+            text += "+" + sp()
+        power = f"{sp()}^{sp()}{'-' + sp() if e < 0 else ''}{_digits(rng, abs(e))}"
+        if e == 1 and rng.random() < 0.5:
+            power = ""
+        if e == 0 and rng.random() < 0.7:
+            body = _digits(rng, c)
+        elif c == 1 and rng.random() < 0.5:
+            body = "A" + power
+        else:
+            body = f"{_digits(rng, c)}{sp()}*{sp()}A{power}"
+        text += body + sp()
+    return text + ")", [(e, sign * c) for sign, c, e in terms]
+
+
+def test_literals_parse_to_their_terms_seeded():
+    rng = random.Random(16)
+    zeros = big = 0
+    for _ in range(600):
+        text, terms = _random_literal(rng)
+        sums = {}
+        for e, c in terms:
+            sums[e] = sums.get(e, 0) + c
+        want = LaurentPoly(sums)
+        assert [tok[0] for tok in tokenize(text)] == ["POLY", "EOF"], text
+        got = parse_scalar(text)
+        assert got == RationalFunction(want), text
+        assert all(type(c) is int for c in got.num.terms.values())
+        # The same text with a tab after '(' is no literal; the grammar gives the same value.
+        tabbed = "(\t" + text[1:]
+        assert "POLY" not in [tok[0] for tok in tokenize(tabbed)]
+        assert parse_scalar(tabbed) == got, text
+        zeros += want.is_zero()
+        big += any(abs(c) > 2**64 for c in want.terms.values())
+    assert zeros and big
+    assert parse_scalar("(A - A)") == RationalFunction.zero()
+    assert parse_scalar("(0)") == RationalFunction.zero()
+    assert parse_scalar("(-A^-2 + 3*A^-2)") == RationalFunction.from_int(2) * a_pow(-2)
+    assert parse_scalar("(\u0663*A^\u0661\u0662)") == RationalFunction.from_int(3) * a_pow(12)
+
+
+def test_near_literals_keep_their_values_and_errors():
+    values = {
+        "(A^2+1)": a_pow(2) + RationalFunction.one(),
+        "(1\t+ A)": a_pow(1) + RationalFunction.one(),
+        "(1 +\nA)": a_pow(1) + RationalFunction.one(),
+        "(- -A)": a_pow(1),
+        "(1 - -A)": a_pow(1) + RationalFunction.one(),
+    }
+    for text, want in values.items():
+        assert parse_scalar(text) == want, text
+    assert parse_element("( 1 , 2 )") == curve(1, 2)
+    errors = [
+        ("(A^)", 1, 4, "expected an integer exponent, found ')'"),
+        ("(2*A^-)", 1, 7, "expected an integer exponent, found ')'"),
+        ("(1 +)", 1, 5, "expected a number, 'A', 'empty', a curve label or '(' (near ')')"),
+        ("(1 +\t)", 1, 6, "expected a number, 'A', 'empty', a curve label or '(' (near ')')"),
+        ("(1 +\n)", 2, 1, "expected a number, 'A', 'empty', a curve label or '(' (near ')')"),
+        ("(2A)", 1, 3, "expected ')', found 'A'"),
+        ("(A2)", 1, 2, "unknown name 'A2' (near 'A2')"),
+        ("A^(2)", 1, 3, "expected an integer exponent, found '('"),
+        ("(1,0) (A + 1)", 1, 7, "trailing input after expression (near '(')"),
+        ("((1,0) (2))", 1, 8, "expected ')', found '('"),
+        ("(1 + A) @", 1, 9, "unexpected character '@'"),
+        ("(A + 1)/(A - A)", 1, 8, "division by zero (near '/')"),
+        ("(" * 101 + "1" + ")" * 101, 1, 101, "expression nested deeper than 100 levels (near '(')"),
+        # A literal is as deep as the grammar nests it: its leading minus is a level.
+        ("(" * 99 + "( -A)" + ")" * 99, 1, 102, "expression nested deeper than 100 levels (near '-')"),
+    ]
+    for text, line, col, message in errors:
+        with pytest.raises(ExpressionError) as err:
+            parse_element(text)
+        assert str(err.value) == f"line {line}, column {col}: {message}", text
+    assert parse_element("(" * 99 + "(A)" + ")" * 99) == scalar(a_pow(1))

@@ -4,7 +4,7 @@ import pytest
 
 from skeincalc.quantum_torus import QTorusElement, embed_curve, embed_element
 from skeincalc.ratfunc import RationalFunction, a_pow
-from skeincalc.torus2 import curve
+from skeincalc.torus2 import SkeinT2Element, curve
 
 
 def mono(p, q, coeff=None):
@@ -79,6 +79,65 @@ def test_homomorphism_small_box():
             lhs = embed_element(curve(*a) * curve(*b))
             rhs = embed_element(curve(*a)) * embed_element(curve(*b))
             assert lhs == rhs, (a, b)
+
+
+def _double_loop(x, y):
+    # The product term by term: every pair of terms, every coefficient product.
+    out = {}
+    for (p, q), ca in x.terms.items():
+        for (r, s), cb in y.terms.items():
+            key = (p + r, q + s)
+            out[key] = out.get(key, RationalFunction.zero()) + ca * cb * a_pow(-2 * q * r)
+    return QTorusElement(out)
+
+
+def test_product_matches_a_double_loop_seeded():
+    rng = random.Random(5)
+    one = RationalFunction.one()
+    # Draws from a small pool repeat coefficients within an operand.
+    pool = [one, -one, a_pow(1), -a_pow(1), (a_pow(2) + one).inverse(), a_pow(1) - a_pow(-1)]
+    repeated = 0
+    for _ in range(300):
+        x, y = (
+            QTorusElement({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice(pool) for _ in range(n)})
+            for n in (rng.randint(0, 5), rng.randint(0, 5))
+        )
+        assert x * y == _double_loop(x, y)
+        repeated += len(set(x.terms.values())) < len(x.terms)
+    assert repeated
+    # (l - m)(m + A^2 l): the two l*m terms cancel, A^2 l^2 - m^2 is left.
+    x = mono(1, 0) - mono(0, 1)
+    y = mono(0, 1) + mono(1, 0, a_pow(2))
+    assert x * y == _double_loop(x, y) == mono(2, 0, a_pow(2)) - mono(0, 2)
+
+
+def test_images_multiply_each_coefficient_pair_once(monkeypatch):
+    # Each curve's image carries one coefficient on two monomials, so two
+    # images of 4-term elements have 8 terms each but 4 distinct coefficients:
+    # 16 coefficient products, where term by term there would be 64.
+    one = RationalFunction.one()
+    x = SkeinT2Element(
+        {(1, 0): a_pow(3) + one, (0, 1): a_pow(1) + one, (1, 2): one - a_pow(2), (2, -1): a_pow(-1) + one}
+    )
+    y = SkeinT2Element(
+        {(1, 1): a_pow(-2) - one, (3, 1): a_pow(2) - one, (1, -2): one + one, (0, 2): a_pow(4) + one}
+    )
+    ex, ey = embed_element(x), embed_element(y)
+    assert len(ex.terms) == len(ey.terms) == 8
+    powers = {a_pow(k) for k in range(-60, 61)}
+    products = []
+    mul = RationalFunction.__mul__
+
+    def counted(a, b):
+        if b not in powers:  # a coefficient product, not the A^(-2qr) factor
+            products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    got = ex * ey
+    monkeypatch.undo()
+    assert len(products) == 16
+    assert got == _double_loop(ex, ey) == embed_element(x * y)
 
 
 def test_rendering():
