@@ -22,8 +22,8 @@ _HOMES = {
     "torus2": "EMPTY SkeinT2Element canonical_pair chebyshev_t commutator curve"
     " framing_twist scalar t_to_jw",
     "torus3": "Curve3 Generator Reduction3Certificate ReductionStep StandardEmbedding"
-    " build_m1 build_m2 build_m3 common_curve extended_gcd find_diffeo generators"
-    " grade_decompose reduce_curve replay_certificate trivial_embedding",
+    " common_curve extended_gcd find_diffeo generators grade_decompose reduce_curve"
+    " replay_certificate",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

@@ -147,7 +147,11 @@ def certificate_sweep(box: int):
 
 
 def reduction_sweep(box: int):
-    """Reduce and replay every coprime triple in the box; returns (triples, None)."""
+    """Reduce and replay every coprime triple in the box; returns (triples, None).
+
+    A certificate has no step exactly when the triple is its own parity
+    vector, and one step otherwise.
+    """
     count = 0
     for p in range(-box, box + 1):
         for q in range(-box, box + 1):
@@ -159,6 +163,8 @@ def reduction_sweep(box: int):
                 canonical, cert = torus3.reduce_curve(c)
                 if canonical.coords != c.parities():
                     raise VerificationError(f"{c} reduced to {canonical}")
+                if len(cert.steps) != (0 if canonical == c else 1):
+                    raise VerificationError(f"{c} reduced in {len(cert.steps)} steps")
                 torus3.replay_certificate(cert)
     return count, None
 

@@ -100,7 +100,7 @@ def cmd_reduce_t3(args) -> int:
         print(f"steps: {len(cert.steps)}")
         for s in cert.steps:
             print(f"  matrix {list(map(list, s.embedding.matrix))} columns {s.embedding.columns}"
-                  f" {s.from_pair} -> {s.to_pair} perm {s.permutation}")
+                  f" {s.from_pair} -> {s.to_pair}")
         print("certificate verified")
     return 0
 

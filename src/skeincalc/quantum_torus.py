@@ -101,7 +101,10 @@ def embed_element(x) -> QTorusElement:
             if not label:
                 yield (0, 0), coeff
                 continue
-            for k, c in embed_curve(*label).terms.items():
-                yield k, coeff * c
+            # Both monomials of a curve's image carry one coefficient, so
+            # the label's coefficient is multiplied in once.
+            c = coeff * embed_curve(*label).terms[label]
+            yield label, c
+            yield (-label[0], -label[1]), c
 
     return QTorusElement.collect(images())

@@ -7,12 +7,16 @@ matrix together with the ordered pair of column indices spanning its
 plane; pushing a coprime pair (a,b) through an embedding forms the
 integer combination of the two selected columns.
 
-reduce_curve() rewrites any curve onto its parity-canonical class with a
-replayable certificate.  Each certificate step holds a verbatim matrix
-(always determinant exactly +1), a from/to pair congruent mod 2, and a
-coordinate permutation: the permutation is applied to the current curve
-before matching from_pair, and its inverse is applied after pushing
-to_pair, so every step preserves the parity vector componentwise.
+reduce_curve() rewrites any curve c onto its parity vector e, the curve
+of {0,1}-coordinates congruent to c mod 2, with a replayable certificate
+of at most one step.  When c != e, let n be the primitive cross product
+of c and e and M = find_diffeo(n), so M*n = (1,0,0).  M is unimodular,
+so rows 2 and 3 of M are a basis of the saturated plane L = n^perp in
+Z^3; the step's embedding is the transpose of M with columns (2, 3), and
+its from_pair and to_pair are the coordinates of c and e in that basis.
+Both c and e lie in L, and c - e lies in 2Z^3 and in L, so in 2L because
+L is saturated: the two pairs agree mod 2.  Both are coprime because c
+and e are primitive.  Every step's matrix has determinant exactly +1.
 """
 
 from __future__ import annotations
@@ -50,6 +54,17 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
+
+
+def primitive_cross(u: Vec3, v: Vec3) -> Curve3 | None:
+    """The cross product of u and v over its gcd, as a curve; None if u, v are parallel.
+
+    It is the primitive normal of the plane u and v span, and the
+    direction along which two planes with normals u and v meet.
+    """
+    w = cross(u, v)
+    g = math.gcd(*w)
+    return Curve3.of(w[0] // g, w[1] // g, w[2] // g) if g else None
 
 
 def _first_nonzero(p: int, q: int, r: int) -> int:
@@ -155,51 +170,8 @@ def extended_gcd(p: int, q: int) -> tuple[int, int, int]:
     return (d, lam, (d - lam * p) // q)
 
 
-def build_m1(p: int, q: int) -> StandardEmbedding:
-    """Embedding with first column (p/d, q/d, 0) completed via a Bezout pair."""
-    if p == 0 or q == 0:
-        raise ValueError("both coordinates must be nonzero")
-    d, lam, mu = extended_gcd(p, q)
-    rows = ((p // d, -mu, 0), (q // d, lam, 0), (0, 0, 1))
-    return StandardEmbedding(rows, (1, 3))
-
-
-def build_m2(q: int) -> StandardEmbedding:
-    """Embedding whose columns satisfy (p,q,1) = p*col3 + col1."""
-    return StandardEmbedding(((0, 0, 1), (q, -1, 0), (1, 0, 0)), (1, 3))
-
-
-def build_m3() -> StandardEmbedding:
-    """Embedding whose columns satisfy (1,q,1) = col1 + q*col2."""
-    return StandardEmbedding(((1, 0, 0), (0, 1, 0), (1, 0, 1)), (1, 2))
-
-
-def trivial_embedding() -> StandardEmbedding:
-    """The plane {z = 0}: identity matrix, first two columns."""
-    return StandardEmbedding(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 2))
-
-
-Perm = tuple[int, int, int]
-IDENTITY_PERM: Perm = (0, 1, 2)
-
-
-def apply_perm(sigma: Perm, v: Vec3) -> Vec3:
-    """Reorder coordinates: result[i] = v[sigma[i]]."""
-    return (v[sigma[0]], v[sigma[1]], v[sigma[2]])
-
-
-def invert_perm(sigma: Perm) -> Perm:
-    inv = [0, 0, 0]
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return tuple(inv)
-
-
 class ReductionStep(Record):
-    __slots__ = ("embedding", "from_pair", "to_pair", "permutation")
-
-    def __init__(self, embedding: StandardEmbedding, from_pair, to_pair, permutation=IDENTITY_PERM):
-        super().__init__(embedding, from_pair, to_pair, permutation)
+    __slots__ = ("embedding", "from_pair", "to_pair")
 
 
 class Reduction3Certificate(Record):
@@ -215,7 +187,6 @@ class Reduction3Certificate(Record):
                     "columns": list(s.embedding.columns),
                     "from_pair": list(s.from_pair),
                     "to_pair": list(s.to_pair),
-                    "permutation": list(s.permutation),
                 }
                 for s in self.steps
             ],
@@ -228,56 +199,27 @@ class Reduction3Certificate(Record):
                 StandardEmbedding(s["matrix"], tuple(s["columns"])),
                 tuple(s["from_pair"]),
                 tuple(s["to_pair"]),
-                tuple(s["permutation"]),
             )
             for s in doc["steps"]
         )
         return cls(Curve3(*doc["input"]), Curve3(*doc["canonical"]), steps)
 
 
-def _parity_pair(a: int, b: int) -> tuple[int, int]:
-    return (a % 2, b % 2)
-
-
 def reduce_curve(c: Curve3) -> tuple[Curve3, Reduction3Certificate]:
-    """Rewrite a curve onto its parity-canonical class, with certificate.
+    """Rewrite a curve onto its parity vector in at most one step, with certificate.
 
-    Routing: permute two nonzero coordinates to the front; clear the gcd
-    of the first two through the Bezout embedding until the frame's third
-    coordinate lies in {0,1}; finish on the trivial plane when it is 0,
-    through the (p,q,1) embedding when it is 1, and through the final
-    shear for the (1,q,1) endgame.
+    The step rewrites inside the torus through the curve and its parity
+    vector (see the module docstring for why its pairs agree mod 2).
     """
-    steps: list[ReductionStep] = []
-    cur = c
-    while not all(x in (0, 1) for x in cur.coords):
-        nz = [i for i, x in enumerate(cur.coords) if x]
-        if len(nz) == 2:
-            zi = ({0, 1, 2} - set(nz)).pop()
-            sigma: Perm = (nz[0], nz[1], zi)
-        else:
-            sigma = IDENTITY_PERM
-        p, q, r = apply_perm(sigma, cur.coords)
-        frame = Curve3.of(p, q, r)
-        d = math.gcd(p, q)
-        if (d, r) != _parity_pair(d, r):
-            emb = build_m1(p, q)
-            frm, to = (d, r), _parity_pair(d, r)
-        elif r == 0:
-            emb = trivial_embedding()
-            frm, to = (p, q), _parity_pair(p, q)
-        elif p >= 2:
-            emb = build_m2(q)
-            frm, to = (1, p), (1, p % 2)
-        else:  # frame is (1, q, 1)
-            emb = build_m3()
-            frm, to = (1, q), (1, q % 2)
-        assert emb.push(*frm) == frame
-        steps.append(ReductionStep(emb, frm, to, sigma))
-        nxt = emb.push(*to)
-        cur = Curve3.of(*apply_perm(invert_perm(sigma), nxt.coords))
-    cert = Reduction3Certificate(c, cur, tuple(steps))
-    return cur, cert
+    e = c.parities()
+    if c.coords == e:
+        return c, Reduction3Certificate(c, c, ())
+    m = find_diffeo(primitive_cross(c.coords, e))
+    emb = StandardEmbedding(tuple(zip(*m)), (2, 3))
+    inv = mat_adjugate(emb.matrix)
+    step = ReductionStep(emb, mat_vec(inv, c.coords)[1:], mat_vec(inv, e)[1:])
+    canonical = Curve3(*e)
+    return canonical, Reduction3Certificate(c, canonical, (step,))
 
 
 def replay_certificate(cert: Reduction3Certificate) -> None:
@@ -285,16 +227,13 @@ def replay_certificate(cert: Reduction3Certificate) -> None:
     cur = cert.source
     want = cert.source.parities()
     for k, step in enumerate(cert.steps):
-        if sorted(step.permutation) != [0, 1, 2]:
-            raise VerificationError(f"step {k}: invalid permutation {step.permutation}")
         if mat_det(step.embedding.matrix) != 1:
             raise VerificationError(f"step {k}: matrix determinant is not 1")
-        framed = Curve3.of(*apply_perm(step.permutation, cur.coords))
         pushed = step.embedding.push(*step.from_pair)
-        if pushed != framed:
+        if pushed != cur:
             raise VerificationError(
                 f"step {k}: from_pair {step.from_pair} pushes to {pushed}, "
-                f"current curve is {framed}"
+                f"current curve is {cur}"
             )
         if (step.from_pair[0] - step.to_pair[0]) % 2 or (
             step.from_pair[1] - step.to_pair[1]
@@ -302,8 +241,7 @@ def replay_certificate(cert: Reduction3Certificate) -> None:
             raise VerificationError(
                 f"step {k}: pairs {step.from_pair} and {step.to_pair} differ mod 2"
             )
-        nxt = step.embedding.push(*step.to_pair)
-        cur = Curve3.of(*apply_perm(invert_perm(step.permutation), nxt.coords))
+        cur = step.embedding.push(*step.to_pair)
         if cur.parities() != want:
             raise VerificationError(f"step {k}: parity vector changed to {cur.parities()}")
     if cur != cert.canonical:
@@ -316,12 +254,10 @@ def replay_certificate(cert: Reduction3Certificate) -> None:
 
 def common_curve(e1: StandardEmbedding, e2: StandardEmbedding) -> Curve3:
     """A curve lying on both embedded tori (their planes must differ)."""
-    n1, n2 = e1.normal(), e2.normal()
-    w = cross(n1, n2)
-    if w == (0, 0, 0):
+    w = primitive_cross(e1.normal(), e2.normal())
+    if w is None:
         raise ValueError("the two embedded planes coincide")
-    g = math.gcd(*w)
-    return Curve3.of(w[0] // g, w[1] // g, w[2] // g)
+    return w
 
 
 def find_diffeo(c: Curve3) -> Mat3:

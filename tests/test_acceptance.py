@@ -24,7 +24,6 @@ from skeincalc.torus3 import (
     common_curve,
     generators,
     grade_decompose,
-    trivial_embedding,
 )
 
 
@@ -101,7 +100,7 @@ def test_criterion_8_diffeomorphism():
 
 def test_criterion_9_intersection():
     # worked case first: {z=0} meets {x+2y+3z=0} along (-2,1,0)
-    e1 = trivial_embedding()
+    e1 = StandardEmbedding(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 2))
     e2 = StandardEmbedding(((-2, -3, 1), (1, 0, 0), (0, 1, 0)), (1, 2))
     assert e2.normal() == (1, 2, 3)
     assert common_curve(e1, e2) == Curve3.of(-2, 1, 0)

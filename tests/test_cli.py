@@ -66,9 +66,17 @@ def test_reduce_t3_json(capsys):
     doc = json.loads(out)
     assert doc["input"] == [2, 3, 5]
     assert doc["canonical"] == [0, 1, 1]
-    for step in doc["steps"]:
-        assert len(step["matrix"]) == 3
-        assert sorted(step["permutation"]) == [0, 1, 2]
+    (step,) = doc["steps"]
+    assert len(step["matrix"]) == 3
+    assert set(step) == {"matrix", "columns", "from_pair", "to_pair"}
+
+
+def test_reduce_t3_far_curve_is_one_step(capsys):
+    code, out, _ = run(capsys, "reduce-t3", "--json", "1000000000001", "2", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["canonical"] == [1, 0, 1]
+    assert len(doc["steps"]) == 1
 
 
 def test_reduce_t3_rejects_non_coprime(capsys):

@@ -140,6 +140,31 @@ def test_images_multiply_each_coefficient_pair_once(monkeypatch):
     assert got == _double_loop(ex, ey) == embed_element(x * y)
 
 
+def test_embed_element_multiplies_each_label_coefficient_once(monkeypatch):
+    # A curve's image carries one coefficient on both of its monomials, so
+    # the label's coefficient is multiplied in once, not once per monomial.
+    one = RationalFunction.one()
+    x = SkeinT2Element({(): a_pow(2), (1, 0): a_pow(3) + one, (2, -1): one - a_pow(1), (0, 1): one})
+    for label in ((1, 0), (2, -1), (0, 1)):
+        embed_curve(*label)  # fill the cache, so only embed_element's products count
+    products = []
+    mul = RationalFunction.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    got = embed_element(x)
+    monkeypatch.undo()
+    assert len(products) == 3
+    assert got.terms[(2, -1)] is got.terms[(-2, 1)]
+    want = QTorusElement.scalar(a_pow(2))
+    for label in ((1, 0), (2, -1), (0, 1)):
+        want = want + QTorusElement.scalar(x.terms[label]) * embed_curve(*label)
+    assert got == want
+
+
 def test_rendering():
     assert str(embed_curve(1, 1)) == "(A^-1)*l^1*m^1 + (A^-1)*l^-1*m^-1"
     assert str(QTorusElement.zero()) == "0"

@@ -15,7 +15,6 @@ from skeincalc.torus3 import (
     Reduction3Certificate,
     ReductionStep,
     StandardEmbedding,
-    build_m3,
     generators,
     reduce_curve,
 )
@@ -32,8 +31,8 @@ OLD_EXPORTS = {
     "torus2": "EMPTY SkeinT2Element canonical_pair chebyshev_t commutator curve"
     " framing_twist scalar t_to_jw",
     "torus3": "Curve3 Generator Reduction3Certificate ReductionStep StandardEmbedding"
-    " build_m1 build_m2 build_m3 common_curve extended_gcd find_diffeo generators"
-    " grade_decompose reduce_curve replay_certificate trivial_embedding",
+    " common_curve extended_gcd find_diffeo generators grade_decompose reduce_curve"
+    " replay_certificate",
 }
 OLD_NAMES = {name for names in OLD_EXPORTS.values() for name in names.split()}
 
@@ -44,6 +43,10 @@ def _ab_certificate():
 
 def _t3_certificate():
     return reduce_curve(Curve3(1, 2, 1))[1]
+
+
+def _embedding():
+    return StandardEmbedding(((1, 0, 0), (0, 1, 0), (1, 0, 1)), (1, 2))
 
 
 # (build a value, its repr under the frozen dataclasses these classes replace)
@@ -60,19 +63,19 @@ RECORDS = {
         " to_pair=(1, 1), conjugator=(1, 0), scale=RationalFunction((A)/(A^2 - 1))),))",
     ),
     "ReductionStep": (
-        lambda: ReductionStep(build_m3(), (1, 2), (1, 0)),
+        lambda: ReductionStep(_embedding(), (1, 2), (1, 0)),
         "ReductionStep(embedding=StandardEmbedding([[1, 0, 0], [0, 1, 0], [1, 0, 1]],"
-        " columns=(1, 2)), from_pair=(1, 2), to_pair=(1, 0), permutation=(0, 1, 2))",
+        " columns=(1, 2)), from_pair=(1, 2), to_pair=(1, 0))",
     ),
     "Reduction3Certificate": (
         _t3_certificate,
         "Reduction3Certificate(source=Curve3(p=1, q=2, r=1), canonical=Curve3(p=1, q=0, r=1),"
-        " steps=(ReductionStep(embedding=StandardEmbedding([[1, 0, 0], [0, 1, 0], [1, 0, 1]],"
-        " columns=(1, 2)), from_pair=(1, 2), to_pair=(1, 0), permutation=(0, 1, 2)),))",
+        " steps=(ReductionStep(embedding=StandardEmbedding([[0, 0, 1], [0, 1, 0], [-1, 0, 1]],"
+        " columns=(2, 3)), from_pair=(2, 1), to_pair=(0, 1)),))",
     ),
     "Generator": (lambda: generators()[1], "Generator(kind='curve', curve=Curve3(p=1, q=0, r=0))"),
     "StandardEmbedding": (
-        build_m3,
+        _embedding,
         "StandardEmbedding([[1, 0, 0], [0, 1, 0], [1, 0, 1]], columns=(1, 2))",
     ),
 }
@@ -124,7 +127,8 @@ def test_certificates_are_hashable_values():
 
 
 def test_record_defaults_and_arity():
-    assert ReductionStep(build_m3(), (1, 2), (1, 0)).permutation == (0, 1, 2)
+    with pytest.raises(TypeError):
+        ReductionStep(_embedding(), (1, 2), (1, 0), (0, 1, 2))
     assert Generator("alpha").curve is None
     assert Generator(kind="curve", curve=Curve3(1, 1, 1)).curve == Curve3(1, 1, 1)
     with pytest.raises(TypeError):
@@ -153,7 +157,7 @@ def test_standard_embedding_validation_is_unchanged():
 
 
 def test_every_old_reexport_resolves_to_its_home_object():
-    assert len(OLD_NAMES) == 44
+    assert len(OLD_NAMES) == 40
     for module, names in OLD_EXPORTS.items():
         home = importlib.import_module(f"skeincalc.{module}")
         for name in names.split():

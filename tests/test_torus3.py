@@ -8,21 +8,23 @@ from skeincalc.errors import VerificationError
 from skeincalc.torus3 import (
     Curve3,
     Reduction3Certificate,
+    ReductionStep,
     StandardEmbedding,
-    build_m1,
-    build_m2,
-    build_m3,
     common_curve,
     extended_gcd,
     find_diffeo,
     generators,
     grade_decompose,
+    mat_adjugate,
     mat_det,
     mat_vec,
+    primitive_cross,
     reduce_curve,
     replay_certificate,
-    trivial_embedding,
 )
+
+# The plane {z = 0}: identity matrix, first two columns.
+Z0 = StandardEmbedding(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 2))
 
 
 def test_extended_gcd_examples():
@@ -44,58 +46,22 @@ def test_extended_gcd_properties():
             assert 0 <= lam < abs(q) // d
 
 
-def test_build_m1_worked_example():
-    e = build_m1(4, 6)
-    assert e.matrix == ((2, 1, 0), (3, 2, 0), (0, 0, 1))
-    assert e.columns == (1, 3)
-    assert mat_det(e.matrix) == 1
+def test_primitive_cross_examples():
+    assert primitive_cross((2, 4, 0), (0, 0, 3)) == Curve3(2, -1, 0)
+    assert primitive_cross((2, 3, 5), (0, 1, 1)) == Curve3(1, 1, -1)
+    assert primitive_cross((1, 0, 0), (0, 1, 0)) == Curve3(0, 0, 1)
+    assert primitive_cross((2, 3, 5), (-4, -6, -10)) is None
+    assert primitive_cross((0, 0, 0), (1, 0, 0)) is None
 
 
-def test_build_m1_unit_pair():
-    # extended_gcd(1,1) = (1,0,1), so the Bezout column is (-1,0,0)
-    e = build_m1(1, 1)
-    assert e.matrix == ((1, -1, 0), (1, 0, 0), (0, 0, 1))
-    assert mat_det(e.matrix) == 1
-
-
-def test_build_m1_rejects_zero_coordinates():
-    with pytest.raises(ValueError):
-        build_m1(0, 3)
-    with pytest.raises(ValueError):
-        build_m1(3, 0)
-
-
-def test_build_m1_first_column_primitive():
-    rng = random.Random(18)
-    for _ in range(100):
-        p, q = rng.randint(-20, 20), rng.randint(-20, 20)
-        if p == 0 or q == 0:
-            continue
-        e = build_m1(p, q)
-        d = math.gcd(p, q)
-        assert e.column(1) == (p // d, q // d, 0)
-        assert mat_det(e.matrix) == 1
-
-
-def test_build_m2():
-    assert build_m2(0).matrix == ((0, 0, 1), (0, -1, 0), (1, 0, 0))
-    assert build_m2(5).matrix == ((0, 0, 1), (5, -1, 0), (1, 0, 0))
-    for q in range(-6, 7):
-        e = build_m2(q)
-        assert mat_det(e.matrix) == 1
-        # (p,q,1) = p*col3 + 1*col1
-        for p in range(-4, 5):
-            v1, v3 = e.column(1), e.column(3)
-            assert tuple(p * a + b for a, b in zip(v3, v1)) == (p, q, 1)
-
-
-def test_build_m3():
-    e = build_m3()
-    assert e.matrix == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
-    assert mat_det(e.matrix) == 1
-    for q in range(-4, 5):
-        v1, v2 = e.column(1), e.column(2)
-        assert tuple(a + q * b for a, b in zip(v1, v2)) == (1, q, 1)
+def test_reduce_step_worked_example():
+    # (2,3,5) x (0,1,1) = (-2,-2,2), so n = (1,1,-1) and M*n = (1,0,0).
+    _, cert = reduce_curve(Curve3.of(2, 3, 5))
+    (step,) = cert.steps
+    assert step == ReductionStep(
+        StandardEmbedding(((0, -1, 0), (0, 1, 1), (-1, 0, 1)), (2, 3)), (-2, 5), (0, 1)
+    )
+    assert mat_vec(tuple(zip(*step.embedding.matrix)), (1, 1, -1)) == (1, 0, 0)
 
 
 def test_embedding_rejects_bad_matrices():
@@ -114,23 +80,26 @@ def test_embedding_rejects_bad_matrices():
 
 def test_certificate_with_a_fractional_matrix_entry_is_refused():
     _, cert = reduce_curve(Curve3.of(2, 3, 5))
-    doc = json.loads(json.dumps(cert.to_json_dict()))
-    assert doc["steps"][0]["matrix"][0][0] == 2
-    doc["steps"][0]["matrix"][0][0] = 2.5
-    with pytest.raises(ValueError, match="got 2.5"):
-        Reduction3Certificate.from_json_dict(doc)
+    for i in range(3):
+        for j in range(3):
+            doc = json.loads(json.dumps(cert.to_json_dict()))
+            x = doc["steps"][0]["matrix"][i][j] + 0.5
+            doc["steps"][0]["matrix"][i][j] = x
+            with pytest.raises(ValueError, match=f"got {x}"):
+                Reduction3Certificate.from_json_dict(doc)
 
 
 def test_push_examples():
-    assert trivial_embedding().push(3, 2) == Curve3.of(3, 2, 0)
-    assert build_m2(5).push(1, 4) == Curve3.of(4, 5, 1)
-    e = build_m1(4, 6)
-    assert e.push(1, 0) == Curve3.of(*e.column(1))
+    assert Z0.push(3, 2) == Curve3.of(3, 2, 0)
+    e = StandardEmbedding(((0, 0, 1), (5, -1, 0), (1, 0, 0)), (1, 3))
+    assert e.push(1, 4) == Curve3.of(4, 5, 1)
+    e = StandardEmbedding(((2, 1, 0), (3, 2, 0), (0, 0, 1)), (1, 3))
+    assert e.push(1, 0) == Curve3.of(*e.column(1)) == Curve3(2, 3, 0)
 
 
 def test_push_rejects_non_coprime():
     with pytest.raises(ValueError):
-        trivial_embedding().push(2, 4)
+        Z0.push(2, 4)
 
 
 def test_push_output_is_primitive():
@@ -140,7 +109,7 @@ def test_push_output_is_primitive():
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
         if math.gcd(a, b) != 1:
             continue
-        w = build_m2(q).push(a, b)
+        w = StandardEmbedding(((0, 0, 1), (q, -1, 0), (1, 0, 0)), (1, 3)).push(a, b)
         assert math.gcd(*w.coords) == 1
 
 
@@ -167,9 +136,21 @@ def test_reduce_unit_vector_is_trivial():
 
 
 def test_reduce_routes_through_expected_embeddings():
-    canonical, cert = reduce_curve(Curve3.of(3, 4, 1))
+    c = Curve3.of(3, 4, 1)
+    canonical, cert = reduce_curve(c)
     assert canonical == Curve3(1, 0, 1)
-    assert [s.embedding for s in cert.steps] == [build_m2(4), build_m3()]
+    (step,) = cert.steps
+    # The step's plane holds both the curve and its parity vector.
+    n = step.embedding.normal()
+    assert _dot(n, c.coords) == 0 and _dot(n, canonical.coords) == 0
+    assert step.embedding.columns == (2, 3)
+    replay_certificate(cert)
+
+
+def _check_reduction(c):
+    canonical, cert = reduce_curve(c)
+    assert canonical.coords == c.parities()
+    assert len(cert.steps) == (0 if set(c.coords) <= {0, 1} else 1)
     replay_certificate(cert)
 
 
@@ -179,10 +160,17 @@ def test_reduce_parity_sweep():
             for r in range(-5, 6):
                 if math.gcd(p, q, r) != 1:
                     continue
-                c = Curve3.of(p, q, r)
-                canonical, cert = reduce_curve(c)
-                assert canonical.coords == c.parities()
-                replay_certificate(cert)
+                _check_reduction(Curve3.of(p, q, r))
+    rng = random.Random(23)
+    drawn = 0
+    while drawn < 300:
+        t = [rng.randint(-10**12, 10**12) for _ in range(3)]
+        # Put some draws near a coordinate plane or an axis.
+        for i in rng.sample(range(3), rng.randint(0, 2)):
+            t[i] = rng.randint(-1, 1)
+        if math.gcd(*t) == 1:
+            _check_reduction(Curve3.of(*t))
+            drawn += 1
 
 
 def test_replay_rejects_tampering():
@@ -190,6 +178,51 @@ def test_replay_rejects_tampering():
     bad = Reduction3Certificate(cert.source, Curve3(1, 1, 1), cert.steps)
     with pytest.raises(VerificationError):
         replay_certificate(bad)
+    (step,) = cert.steps
+    x, y = step.to_pair
+    _, other = reduce_curve(Curve3.of(4, -6, 3))
+    for tampered in (
+        ReductionStep(step.embedding, step.from_pair, (x + 1, y)),  # differs mod 2
+        ReductionStep(step.embedding, step.to_pair, step.to_pair),  # pushes to the canonical
+        ReductionStep(other.steps[0].embedding, step.from_pair, step.to_pair),  # another plane
+    ):
+        with pytest.raises(VerificationError):
+            replay_certificate(Reduction3Certificate(cert.source, cert.canonical, (tampered,)))
+
+
+def test_replay_accepts_chains_of_any_length():
+    # A step between any two curves with equal parities, built as
+    # reduce_curve builds its one step.
+    def step(c, d):
+        m = find_diffeo(primitive_cross(c, d))
+        emb = StandardEmbedding(tuple(zip(*m)), (2, 3))
+        inv = mat_adjugate(emb.matrix)
+        return ReductionStep(emb, mat_vec(inv, c)[1:], mat_vec(inv, d)[1:])
+
+    c, d, e = (3, 4, 1), (1, 2, 1), (1, 0, 1)
+    chain = (step(c, d), step(d, e))
+    replay_certificate(Reduction3Certificate(Curve3(*c), Curve3(*e), chain))
+    with pytest.raises(VerificationError):
+        replay_certificate(Reduction3Certificate(Curve3(*c), Curve3(*e), chain[::-1]))
+
+
+def test_reduction_sweep_refuses_a_longer_chain(monkeypatch):
+    from skeincalc import checks, torus3
+
+    def padded(c):
+        canonical, cert = reduce_curve(c)
+        if not cert.steps:
+            return canonical, cert
+        # A step from the canonical curve to itself still replays.
+        last = cert.steps[-1]
+        idle = ReductionStep(last.embedding, last.to_pair, last.to_pair)
+        return canonical, Reduction3Certificate(c, canonical, cert.steps + (idle,))
+
+    assert checks.reduction_sweep(2) == (98, None)
+    monkeypatch.setattr(torus3, "reduce_curve", padded)
+    replay_certificate(padded(Curve3.of(2, 3, 5))[1])
+    with pytest.raises(VerificationError, match="in 2 steps"):
+        checks.reduction_sweep(2)
 
 
 def test_reduction_json_roundtrip():
@@ -207,7 +240,6 @@ def test_reduction_json_roundtrip():
             "columns",
             "from_pair",
             "to_pair",
-            "permutation",
         ]
 
 
@@ -217,27 +249,25 @@ def _dot(u, v):
 
 def test_common_curve_worked_case():
     # {z=0} meets {x+2y+3z=0}: direction (-b, a, 0) = (-2, 1, 0)
-    e1 = trivial_embedding()
+    e1 = Z0
     e2 = StandardEmbedding(((-2, -3, 1), (1, 0, 0), (0, 1, 0)), (1, 2))
     assert e2.normal() == (1, 2, 3)
     assert common_curve(e1, e2) == Curve3.of(-2, 1, 0) == Curve3(2, -1, 0)
 
 
 def test_common_curve_coordinate_planes():
-    z0 = trivial_embedding()
     y0 = StandardEmbedding(((1, 0, 0), (0, 0, -1), (0, 1, 0)), (1, 2))
     assert y0.normal() == (0, -1, 0)
-    assert common_curve(z0, y0) == Curve3(1, 0, 0)
+    assert common_curve(Z0, y0) == Curve3(1, 0, 0)
 
 
 def test_common_curve_same_plane_rejected():
-    e = trivial_embedding()
-    with pytest.raises(ValueError):
-        common_curve(e, e)
+    with pytest.raises(ValueError, match="the two embedded planes coincide"):
+        common_curve(Z0, Z0)
     # same plane, different basis
     other = StandardEmbedding(((1, 1, 0), (0, 1, 0), (0, 0, 1)), (1, 2))
     with pytest.raises(ValueError):
-        common_curve(e, other)
+        common_curve(Z0, other)
 
 
 def test_homology_class():
