@@ -9,14 +9,15 @@ integer combination of the two selected columns.
 
 reduce_curve() rewrites any curve c onto its parity vector e, the curve
 of {0,1}-coordinates congruent to c mod 2, with a replayable certificate
-of at most one step.  When c != e, let n be the primitive cross product
-of c and e and M = find_diffeo(n), so M*n = (1,0,0).  M is unimodular,
-so rows 2 and 3 of M are a basis of the saturated plane L = n^perp in
-Z^3; the step's embedding is the transpose of M with columns (2, 3), and
-its from_pair and to_pair are the coordinates of c and e in that basis.
-Both c and e lie in L, and c - e lies in 2Z^3 and in L, so in 2L because
-L is saturated: the two pairs agree mod 2.  Both are coprime because c
-and e are primitive.  Every step's matrix has determinant exactly +1.
+of at most one step, _step(c, e) when c != e.  Let n be the primitive
+cross product of c and e and M = find_diffeo(n), so M*n = (1,0,0).  M is
+unimodular, so rows 2 and 3 of M are a basis of the saturated plane
+L = n^perp in Z^3; the step's embedding is the transpose of M with
+columns (2, 3), and its from_pair and to_pair are the coordinates of c
+and e in that basis.  Both c and e lie in L, and c - e lies in 2Z^3 and
+in L, so in 2L because L is saturated: the two pairs agree mod 2.  Both
+are coprime because c and e are primitive.  Every step's matrix has
+determinant exactly +1.
 """
 
 from __future__ import annotations
@@ -205,6 +206,14 @@ class Reduction3Certificate(Record):
         return cls(Curve3(*doc["input"]), Curve3(*doc["canonical"]), steps)
 
 
+def _step(c: Vec3, d: Vec3) -> ReductionStep:
+    # Rewrite c onto d, with equal parities, in the torus through both (module docstring).
+    m = find_diffeo(primitive_cross(c, d))
+    emb = StandardEmbedding(tuple(zip(*m)), (2, 3))
+    inv = mat_adjugate(emb.matrix)
+    return ReductionStep(emb, mat_vec(inv, c)[1:], mat_vec(inv, d)[1:])
+
+
 def reduce_curve(c: Curve3) -> tuple[Curve3, Reduction3Certificate]:
     """Rewrite a curve onto its parity vector in at most one step, with certificate.
 
@@ -212,44 +221,40 @@ def reduce_curve(c: Curve3) -> tuple[Curve3, Reduction3Certificate]:
     vector (see the module docstring for why its pairs agree mod 2).
     """
     e = c.parities()
-    if c.coords == e:
-        return c, Reduction3Certificate(c, c, ())
-    m = find_diffeo(primitive_cross(c.coords, e))
-    emb = StandardEmbedding(tuple(zip(*m)), (2, 3))
-    inv = mat_adjugate(emb.matrix)
-    step = ReductionStep(emb, mat_vec(inv, c.coords)[1:], mat_vec(inv, e)[1:])
+    steps = () if c.coords == e else (_step(c.coords, e),)
     canonical = Curve3(*e)
-    return canonical, Reduction3Certificate(c, canonical, (step,))
+    return canonical, Reduction3Certificate(c, canonical, steps)
 
 
 def replay_certificate(cert: Reduction3Certificate) -> None:
-    """Re-execute every step of a reduction certificate, raising on defects."""
+    """Re-execute every step of a reduction certificate; raise VerificationError on any defect.
+
+    A step's pairs must agree mod 2, so the curves they push to do too,
+    and be coprime; from_pair must push to the current curve and to_pair
+    gives the next.  The chain must end on the canonical curve, the
+    input's parity vector.  ValueError comes only from building records:
+    Curve3 refuses a triple that is not coprime or not sign-canonical, and
+    StandardEmbedding a determinant other than 1 or an entry not an int.
+    Each pair is taken to be two ints; nothing checks that yet.
+    """
     cur = cert.source
-    want = cert.source.parities()
     for k, step in enumerate(cert.steps):
-        if mat_det(step.embedding.matrix) != 1:
-            raise VerificationError(f"step {k}: matrix determinant is not 1")
-        pushed = step.embedding.push(*step.from_pair)
+        (a, b), (x, y) = step.from_pair, step.to_pair
+        if (a - x) % 2 or (b - y) % 2:
+            raise VerificationError(f"step {k}: pairs {(a, b)} and {(x, y)} differ mod 2")
+        try:
+            pushed, nxt = step.embedding.push(a, b), step.embedding.push(x, y)
+        except ValueError as exc:
+            raise VerificationError(f"step {k}: {exc}") from None
         if pushed != cur:
             raise VerificationError(
-                f"step {k}: from_pair {step.from_pair} pushes to {pushed}, "
-                f"current curve is {cur}"
+                f"step {k}: from_pair {(a, b)} pushes to {pushed}, current curve is {cur}"
             )
-        if (step.from_pair[0] - step.to_pair[0]) % 2 or (
-            step.from_pair[1] - step.to_pair[1]
-        ) % 2:
-            raise VerificationError(
-                f"step {k}: pairs {step.from_pair} and {step.to_pair} differ mod 2"
-            )
-        cur = step.embedding.push(*step.to_pair)
-        if cur.parities() != want:
-            raise VerificationError(f"step {k}: parity vector changed to {cur.parities()}")
+        cur = nxt
     if cur != cert.canonical:
         raise VerificationError(f"chain ends at {cur}, certificate says {cert.canonical}")
-    if cert.canonical.coords != want:
-        raise VerificationError(
-            f"canonical {cert.canonical} does not carry the input parities {want}"
-        )
+    if cert.canonical.coords != cert.source.parities():
+        raise VerificationError(f"{cert.canonical} is not the parity vector of {cert.source}")
 
 
 def common_curve(e1: StandardEmbedding, e2: StandardEmbedding) -> Curve3:

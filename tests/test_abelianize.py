@@ -8,12 +8,14 @@ from skeincalc.abelianize import (
     AbElement,
     CLASSES,
     CertStep,
+    _step,
     certificate,
     closure_check,
     reduce_element,
     reduce_label,
     verify_certificate,
 )
+from skeincalc.checks import certificate_sweep
 from skeincalc.errors import VerificationError
 from skeincalc.ratfunc import RationalFunction, a_pow
 from skeincalc.torus2 import EMPTY, commutator, curve, scalar
@@ -84,14 +86,7 @@ def test_certificate_even_even_chain():
 
 
 def test_certificate_box_sweep():
-    for p in range(-12, 13):
-        for q in range(-12, 13):
-            if (p, q) == (0, 0):
-                continue
-            cert = certificate(p, q)
-            assert cert.canonical == reduce_label(p, q)
-            assert len(cert.steps) <= 2
-            verify_certificate(cert)
+    assert certificate_sweep(12) == (624, None)
     # far labels: one step off the axis, two along it
     for label, length in (((10**9 + 1, 1), 1), ((10**12, 0), 2)):
         cert = certificate(*label)
@@ -121,6 +116,49 @@ def test_certificate_verifier_rejects_tampering():
     # curves are unoriented, so the negated conjugator names the same curve
     flipped = CertStep(x, y, (-v[0], -v[1]), s)
     verify_certificate(AbCertificate(cert.source, cert.canonical, (flipped, second)))
+
+
+def test_certificate_verifier_checks_the_class():
+    # A true chain onto a label that is not the input's class, and an
+    # empty chain on a label that is not a class.
+    for cert in (
+        AbCertificate((5, 1), (3, 1), (_step((5, 1), (3, 1)),)),
+        AbCertificate((3, 1), (3, 1), ()),
+    ):
+        with pytest.raises(VerificationError, match="is not the class of"):
+            verify_certificate(cert)
+    with pytest.raises(VerificationError, match="not a curve label"):
+        verify_certificate(AbCertificate((0, 0), (2, 0), ()))
+
+
+def test_certificate_verifier_refuses_a_zero_last_label():
+    # (0,0) names no curve; the step's expansion is checked before the end
+    # of the chain, so this is a failed replay, not a ValueError.
+    for label in ((4, 0), (5, 2)):
+        cert = certificate(*label)
+        *head, last = cert.steps
+        zero = CertStep(last.from_pair, (0, 0), last.conjugator, last.scale)
+        with pytest.raises(VerificationError):
+            verify_certificate(AbCertificate(cert.source, cert.canonical, (*head, zero)))
+
+
+def test_certificate_sweep_refuses_a_longer_chain(monkeypatch):
+    from skeincalc import abelianize, checks
+
+    def padded(p, q):
+        cert = certificate(p, q)
+        if not cert.steps:
+            return cert
+        # A step from the class to itself, scaled by 0, still verifies.
+        last = cert.steps[-1]
+        idle = CertStep(last.to_pair, last.to_pair, last.conjugator, RationalFunction.zero())
+        return AbCertificate(cert.source, cert.canonical, cert.steps + (idle,))
+
+    assert checks.certificate_sweep(3) == (48, None)
+    monkeypatch.setattr(abelianize, "certificate", padded)
+    verify_certificate(padded(3, 0))
+    with pytest.raises(VerificationError, match="certified in 3 steps"):
+        checks.certificate_sweep(3)
 
 
 def test_certificate_json_roundtrip():

@@ -62,14 +62,14 @@ def test_criterion_4_abelianization_closure():
 
 
 def test_criterion_5_commutator_certificates():
-    # verify_certificate includes the full telescoping expansion
+    # verify_certificate expands every step through the product and checks the class
     assert certificate_sweep(6) == (168, None)
     _report(5, "commutator certificates", "168 labels, 0 failures")
 
 
 def test_criterion_6_curve_reduction():
     started = time.time()
-    # replay_certificate re-checks every step's determinant, pushes and parities
+    # replay_certificate re-pushes every step's pairs and checks the parity vector
     assert reduction_sweep(9) == (5762, None)
     elapsed = time.time() - started
     _report(6, "curve reduction", f"5762 coprime triples, 0 failures, {elapsed:.1f}s")

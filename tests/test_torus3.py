@@ -10,12 +10,12 @@ from skeincalc.torus3 import (
     Reduction3Certificate,
     ReductionStep,
     StandardEmbedding,
+    _step,
     common_curve,
     extended_gcd,
     find_diffeo,
     generators,
     grade_decompose,
-    mat_adjugate,
     mat_det,
     mat_vec,
     primitive_cross,
@@ -147,20 +147,8 @@ def test_reduce_routes_through_expected_embeddings():
     replay_certificate(cert)
 
 
-def _check_reduction(c):
-    canonical, cert = reduce_curve(c)
-    assert canonical.coords == c.parities()
-    assert len(cert.steps) == (0 if set(c.coords) <= {0, 1} else 1)
-    replay_certificate(cert)
-
-
 def test_reduce_parity_sweep():
-    for p in range(-5, 6):
-        for q in range(-5, 6):
-            for r in range(-5, 6):
-                if math.gcd(p, q, r) != 1:
-                    continue
-                _check_reduction(Curve3.of(p, q, r))
+    # The box is reduction_sweep's, in the acceptance suite; these are far curves.
     rng = random.Random(23)
     drawn = 0
     while drawn < 300:
@@ -169,7 +157,11 @@ def test_reduce_parity_sweep():
         for i in rng.sample(range(3), rng.randint(0, 2)):
             t[i] = rng.randint(-1, 1)
         if math.gcd(*t) == 1:
-            _check_reduction(Curve3.of(*t))
+            c = Curve3.of(*t)
+            canonical, cert = reduce_curve(c)
+            assert canonical.coords == c.parities()
+            assert len(cert.steps) == (0 if set(c.coords) <= {0, 1} else 1)
+            replay_certificate(cert)
             drawn += 1
 
 
@@ -190,17 +182,26 @@ def test_replay_rejects_tampering():
             replay_certificate(Reduction3Certificate(cert.source, cert.canonical, (tampered,)))
 
 
-def test_replay_accepts_chains_of_any_length():
-    # A step between any two curves with equal parities, built as
-    # reduce_curve builds its one step.
-    def step(c, d):
-        m = find_diffeo(primitive_cross(c, d))
-        emb = StandardEmbedding(tuple(zip(*m)), (2, 3))
-        inv = mat_adjugate(emb.matrix)
-        return ReductionStep(emb, mat_vec(inv, c)[1:], mat_vec(inv, d)[1:])
+def test_replay_refuses_non_coprime_pairs():
+    # A pair that is not coprime pushes to no curve: a failed replay, not a
+    # ValueError.  Each tampered pair still agrees mod 2 with its partner.
+    _, cert = reduce_curve(Curve3.of(2, 3, 5))
+    (step,) = cert.steps
+    (a, b), to_pair = step.from_pair, step.to_pair
+    assert to_pair == (0, 1)
+    for tampered in (
+        ReductionStep(step.embedding, (a + 2, b), to_pair),  # (0, 5)
+        ReductionStep(step.embedding, (a, b), (0, 3)),
+    ):
+        with pytest.raises(VerificationError, match="must be coprime"):
+            replay_certificate(Reduction3Certificate(cert.source, cert.canonical, (tampered,)))
 
+
+def test_replay_accepts_chains_of_any_length():
+    # A step between any two curves with equal parities, as reduce_curve
+    # builds its one step.
     c, d, e = (3, 4, 1), (1, 2, 1), (1, 0, 1)
-    chain = (step(c, d), step(d, e))
+    chain = (_step(c, d), _step(d, e))
     replay_certificate(Reduction3Certificate(Curve3(*c), Curve3(*e), chain))
     with pytest.raises(VerificationError):
         replay_certificate(Reduction3Certificate(Curve3(*c), Curve3(*e), chain[::-1]))
