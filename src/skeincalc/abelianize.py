@@ -17,7 +17,7 @@ union-find over a finite box of labels.
 from __future__ import annotations
 
 from .combination import Combination
-from .errors import Record, VerificationError
+from .errors import Record, VerificationError, int_tuple
 from .ratfunc import a_pow
 from .torus2 import EMPTY, SkeinT2Element, canonical_pair, commutator, curve
 
@@ -94,11 +94,12 @@ class AbCertificate(Record):
         from .expressions import parse_scalar
 
         steps = tuple(
-            CertStep(tuple(s["from"]), tuple(s["to"]), tuple(s["conjugator"]),
+            CertStep(*(int_tuple(s[key], 2, key) for key in ("from", "to", "conjugator")),
                      parse_scalar(s["scale"]))
             for s in doc["steps"]
         )
-        return cls(tuple(doc["input"]), tuple(doc["canonical"]), steps)
+        ends = (int_tuple(doc[key], 2, key) for key in ("input", "canonical"))
+        return cls(*ends, steps)
 
 
 def _step(x: tuple[int, int], y: tuple[int, int]) -> CertStep:

@@ -1,4 +1,4 @@
-"""Shared exception types and the read-only record base."""
+"""Shared exception types, the read-only record base and its int-tuple field check."""
 
 from operator import attrgetter
 
@@ -14,6 +14,18 @@ class ExpressionError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
+
+
+def int_tuple(value, n: int, what: str) -> tuple:
+    """value, a list or tuple of exactly n ints, as a tuple.
+
+    Anything else is a ValueError: another length, or an entry that is a
+    bool, float or str, which would otherwise be read as an int, rounded or
+    fail later with a TypeError.
+    """
+    if type(value) not in (list, tuple) or len(value) != n or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be {n} ints, got {value!r}")
+    return tuple(value)
 
 
 class Record:

@@ -20,10 +20,13 @@ sums and products.  It becomes a Q(A) value (a RationalFunction over 1,
 already canonical) at a '/', or when it meets a value of Q(A).  It
 becomes a SkeinT2Element at a curve label, as a multiple of the empty
 link or as the coefficient of the element it meets; a bare label c*(p,q)
-takes c as its coefficient with no product.  Every ring maps into the
-next, scalars are central and canonical forms are unique, so the result
-is the same canonical element as evaluating everything in the skein
-algebra, at the cost of polynomial arithmetic where no '/' occurs.
+takes c as its coefficient with no product.  A sum t1 + t2 + ... that
+holds an element adds each term, from the first element on, into one
+coefficient map, so it costs one pass and not a copy of the map per
+'+'.  Every ring maps into the next, scalars are central and canonical
+forms are unique, so the result is the same canonical element as
+evaluating everything in the skein algebra, at the cost of polynomial
+arithmetic where no '/' occurs.
 
 A parenthesized Laurent polynomial with integer coefficients, such as
 (2*A^-5 - A + 3), is scanned as one POLY token: '(' then signed
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import re
 
+from .combination import _accumulate
 from .errors import ExpressionError
 from .ratfunc import LaurentPoly, RationalFunction, a_pow
 from .torus2 import EMPTY, SkeinT2Element
@@ -189,13 +193,20 @@ class _Parser:
 
     def expr(self) -> Value:
         value = self.term()
+        acc = None  # the sum's coefficient map, from its first element on
         while self.peek()[0] in ("PLUS", "MINUS"):
-            op = self.advance()
+            minus = self.advance()[0] == "MINUS"
             rhs = self.term()
-            if type(value) is not type(rhs):
-                value, rhs = _common(value, rhs)
-            value = value + rhs if op[0] == "PLUS" else value - rhs
-        return value
+            if acc is None and SkeinT2Element not in (type(value), type(rhs)):
+                if type(value) is not type(rhs):
+                    value, rhs = _scalar(value), _scalar(rhs)
+                value = value - rhs if minus else value + rhs
+                continue
+            if acc is None:
+                acc = dict(_element(value).terms)
+            terms = _element(rhs).terms.items()
+            _accumulate(acc, ((k, -c) for k, c in terms) if minus else terms)
+        return value if acc is None else SkeinT2Element(acc)
 
     def term(self) -> Value:
         value = self.factor()
@@ -300,13 +311,6 @@ def _scalar(value: LaurentPoly | RationalFunction) -> RationalFunction:
 def _element(value: Value) -> SkeinT2Element:
     # A scalar value as a multiple of the empty link; elements pass through.
     return value if type(value) is SkeinT2Element else SkeinT2Element.scalar(_scalar(value))
-
-
-def _common(x: Value, y: Value) -> tuple[Value, Value]:
-    # Two values of different rings, both in the larger of the two.
-    if type(x) is SkeinT2Element or type(y) is SkeinT2Element:
-        return _element(x), _element(y)
-    return _scalar(x), _scalar(y)
 
 
 def _scaled(element: SkeinT2Element, coeff: LaurentPoly | RationalFunction) -> SkeinT2Element:

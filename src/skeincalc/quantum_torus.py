@@ -11,11 +11,13 @@ sum c_{p,q} l^p m^q kept in normal order (all l factors on the left) and
 stored as {(p, q): coefficient}, which is a canonical form.
 
 The product groups each operand's monomials by coefficient and
-multiplies each distinct pair of coefficients once, then scales that
-product by A^(-2qr) for each pair of monomials that carries it; this is
-the term-by-term product, by bilinearity.  The image of a curve carries
-one coefficient on both of its monomials, so the product of two images
-of n-term elements takes n^2 coefficient products, not (2n)^2.
+multiplies each distinct pair of coefficients once, then shifts that
+product by -2qr, the exponent of A, for each pair of monomials that
+carries it (RationalFunction.shift, no product); this is the term-by-term
+product, by bilinearity.  The image of a curve carries one coefficient on
+both of its monomials, so the product of two images of n-term elements
+takes n^2 coefficient products, not (2n)^2.  Embedding an element shifts
+each label's coefficient once and multiplies nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .combination import Combination
-from .ratfunc import RationalFunction, a_pow
+from .ratfunc import RationalFunction
 
 
 class QTorusElement(Combination):
@@ -54,7 +56,7 @@ class QTorusElement(Combination):
                     c = ca * cb
                     for p, q in keys_a:
                         for r, s in keys_b:
-                            yield (p + r, q + s), c * a_pow(-2 * q * r)
+                            yield (p + r, q + s), c.shift(-2 * q * r)
 
         return QTorusElement.collect(products())
 
@@ -76,8 +78,8 @@ def _by_coeff(x: QTorusElement):
     return groups.items()
 
 
-# An oracle-check sweep of box 8 meets 544 labels; the bound keeps memory
-# flat however many labels a long run meets.
+# embed_element shifts coefficients through _image and does not call this;
+# the bound keeps memory flat however many labels a caller asks for.
 @lru_cache(maxsize=4096)
 def embed_curve(p: int, q: int) -> QTorusElement:
     """Image of the (p,q) curve label: A^(-pq) * (l^p m^q + l^-p m^-q).
@@ -89,8 +91,14 @@ def embed_curve(p: int, q: int) -> QTorusElement:
     """
     if p == 0 and q == 0:
         return QTorusElement.scalar(RationalFunction.from_int(2))
-    c = a_pow(-p * q)
-    return QTorusElement({(p, q): c, (-p, -q): c})
+    return QTorusElement(dict(_image(p, q, RationalFunction.one())))
+
+
+def _image(p: int, q: int, coeff: RationalFunction):
+    # The terms of coeff times the image of the curve (p,q) != (0,0): one
+    # coefficient coeff * A^(-pq), shifted once, on both monomials.
+    c = coeff.shift(-p * q)
+    return ((p, q), c), ((-p, -q), c)
 
 
 def embed_element(x) -> QTorusElement:
@@ -98,13 +106,9 @@ def embed_element(x) -> QTorusElement:
 
     def images():
         for label, coeff in x.terms.items():
-            if not label:
+            if label:
+                yield from _image(*label, coeff)
+            else:
                 yield (0, 0), coeff
-                continue
-            # Both monomials of a curve's image carry one coefficient, so
-            # the label's coefficient is multiplied in once.
-            c = coeff * embed_curve(*label).terms[label]
-            yield label, c
-            yield (-label[0], -label[1]), c
 
     return QTorusElement.collect(images())

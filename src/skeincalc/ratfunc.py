@@ -36,6 +36,10 @@ x = a/b and y = c/d.
   * inverse takes no gcd: the reciprocal of a coprime pair is coprime,
     and it only moves the power of A into the new numerator and makes
     the new denominator monic.  x / y is x * y.inverse().
+  * x.shift(k) = x * A^k is a * A^k over b, with no gcd and no product:
+    b is canonical, so it has no factor A, and A^k is a unit of Z[A^+-1],
+    so a * A^k stays coprime to b and b stays monic.  Every curve-basis
+    and quantum-torus product scales its terms by powers of A this way.
 When both operands are over 1 the result is the plain Laurent-polynomial
 sum or product, which is canonical as it stands.
 
@@ -56,14 +60,15 @@ have equal maps, and arithmetic in Z[A^+-1], which holds every
 curve-label product and the numerator and denominator of every
 certificate scale, builds no Fraction.  The constructors turn an
 integral Fraction or a bool into an int and refuse floats.  A product
-of Laurent polynomials writes each operand as integer numerators over
-D, the lcm of its denominators (1 when every coefficient is an int),
-convolves the numerators as ints and divides each surviving sum by
-Da * Db only when that is not 1 (Knuth, TAOCP vol. 2, 4.6.1).  Every
-division, there and below, is Fraction(n, d), Fraction(x) / y or an
-n // d that leaves no remainder, never int / int, so it stays exact and
-its result is stored as an int when it is one; nothing in this module
-touches floating point.
+with a one-term operand c * A^k is the other operand with its exponents
+shifted by k and, when c != 1, each coefficient times c.  Any other
+product writes each operand as integer numerators over D, the lcm of
+its denominators (1 when every coefficient is an int), convolves the
+numerators as ints and divides each surviving sum by Da * Db only when
+that is not 1 (Knuth, TAOCP vol. 2, 4.6.1).  Every division, there and
+below, is Fraction(n, d), Fraction(x) / y or an n // d that leaves no
+remainder, never int / int, so it stays exact and its result is stored
+as an int when it is one; nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -198,10 +203,19 @@ class LaurentPoly:
         return LaurentPoly._raw(out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        # One convolution of integer numerators over the operands' common
-        # denominators, and one division per surviving term when they are not 1.
+        # A one-term operand c * A^k shifts the other by k, scaled when c != 1;
+        # otherwise one convolution of integer numerators over the operands'
+        # common denominators, and one division per surviving term when they
+        # are not 1.
         if not self.terms or not other.terms:
             return _LP_ZERO
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
+            ((k, c),) = mono.terms.items()
+            if c == 1:
+                return poly.shift(k)
+            # A product of nonzero rationals is nonzero, so no term drops.
+            return LaurentPoly._raw({e + k: _norm(x * c) for e, x in poly.terms.items()})
         da, na = _over_common_den(self.terms)
         db, nb = _over_common_den(other.terms)
         acc: dict[int, int] = {}
@@ -425,6 +439,12 @@ class RationalFunction:
         # new numerator, and the new denominator is made monic.
         return RationalFunction._raw(*_monic(self.den, self.num))
 
+    def shift(self, k: int) -> "RationalFunction":
+        """Multiply by A^k: num * A^k over the same den, with no gcd and no product."""
+        if not k:
+            return self
+        return RationalFunction._raw(self.num.shift(k), self.den)
+
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._raw(-self.num, self.den)
 
@@ -474,8 +494,9 @@ _RF_ZERO = RationalFunction(_LP_ZERO)
 _RF_ONE = RationalFunction(_LP_ONE)
 
 
-# An oracle-check sweep of box 8 meets 269 exponents; the bound keeps a
-# long run on parsed exponents from growing without limit.
+# Products scale by powers of A with RationalFunction.shift and never call
+# this; parsed powers A^k, framing twists and certificate scales do, and the
+# bound keeps a long run on parsed exponents from growing without limit.
 @lru_cache(maxsize=4096)
 def a_pow(k: int) -> RationalFunction:
     """The monomial A^k as a rational function (values are shared, immutable)."""

@@ -69,7 +69,7 @@ class SkeinT2Element(Combination):
                     d = p * s - q * r
                     for sign in (1, -1):
                         u, v = p + sign * r, q + sign * s
-                        cc = c * a_pow(sign * d)
+                        cc = c.shift(sign * d)
                         if u == 0 and v == 0:
                             yield EMPTY, cc + cc
                         else:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import Record, VerificationError
+from .errors import Record, VerificationError, int_tuple
 
 Vec3 = tuple[int, int, int]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -198,12 +198,16 @@ class Reduction3Certificate(Record):
         steps = tuple(
             ReductionStep(
                 StandardEmbedding(s["matrix"], tuple(s["columns"])),
-                tuple(s["from_pair"]),
-                tuple(s["to_pair"]),
+                int_tuple(s["from_pair"], 2, "from_pair"),
+                int_tuple(s["to_pair"], 2, "to_pair"),
             )
             for s in doc["steps"]
         )
-        return cls(Curve3(*doc["input"]), Curve3(*doc["canonical"]), steps)
+        return cls(
+            Curve3(*int_tuple(doc["input"], 3, "input")),
+            Curve3(*int_tuple(doc["canonical"], 3, "canonical")),
+            steps,
+        )
 
 
 def _step(c: Vec3, d: Vec3) -> ReductionStep:

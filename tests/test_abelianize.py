@@ -170,6 +170,13 @@ def test_certificate_json_roundtrip():
         assert list(doc["steps"][0]) == ["from", "to", "conjugator", "scale"]
 
 
+def test_certificate_json_pairs_must_be_two_ints():
+    doc = json.loads(json.dumps(certificate(5, 2).to_json_dict()))
+    doc["steps"][0]["from"] = [5.0, 2]
+    with pytest.raises(ValueError, match=r"from must be 2 ints, got \[5.0, 2\]"):
+        AbCertificate.from_json_dict(doc)
+
+
 def test_quotient_kills_commutators():
     for p in range(-3, 4):
         for q in range(-3, 4):

@@ -186,6 +186,29 @@ def test_parse_matches_skein_evaluation_seeded():
     assert kinds == {"zero", "scalar", "mixed"}
 
 
+def test_sums_add_into_one_map_seeded(monkeypatch):
+    # A chain t1 +- t2 +- ... equals its pairwise sum in the skein algebra,
+    # and once an element joins it no element sum is formed.
+    rng = random.Random(16)
+    cases = []
+    for _ in range(150):
+        text, want = _random_text(rng, 1)
+        text = f"({text})"
+        for _ in range(rng.randint(1, 12)):
+            t, v = _random_text(rng, 1)
+            if rng.random() < 0.5:
+                text, want = f"{text} + ({t})", want + v
+            else:
+                text, want = f"{text} - ({t})", want - v
+        cases.append((text, want))
+    sums = []
+    add = SkeinT2Element.__add__
+    monkeypatch.setattr(SkeinT2Element, "__add__", lambda x, y: sums.append(1) or add(x, y))
+    for text, want in cases:
+        assert parse_element(text) == want, text
+    assert not sums
+
+
 # ---- error messages, lines and columns
 
 

@@ -114,7 +114,8 @@ def test_product_matches_a_double_loop_seeded():
 def test_images_multiply_each_coefficient_pair_once(monkeypatch):
     # Each curve's image carries one coefficient on two monomials, so two
     # images of 4-term elements have 8 terms each but 4 distinct coefficients:
-    # 16 coefficient products, where term by term there would be 64.
+    # 16 coefficient products, where term by term there would be 64.  The
+    # factor A^(-2qr) of each pair of monomials is a shift, not a product.
     one = RationalFunction.one()
     x = SkeinT2Element(
         {(1, 0): a_pow(3) + one, (0, 1): a_pow(1) + one, (1, 2): one - a_pow(2), (2, -1): a_pow(-1) + one}
@@ -124,13 +125,11 @@ def test_images_multiply_each_coefficient_pair_once(monkeypatch):
     )
     ex, ey = embed_element(x), embed_element(y)
     assert len(ex.terms) == len(ey.terms) == 8
-    powers = {a_pow(k) for k in range(-60, 61)}
     products = []
     mul = RationalFunction.__mul__
 
     def counted(a, b):
-        if b not in powers:  # a coefficient product, not the A^(-2qr) factor
-            products.append((a, b))
+        products.append((a, b))
         return mul(a, b)
 
     monkeypatch.setattr(RationalFunction, "__mul__", counted)
@@ -140,24 +139,29 @@ def test_images_multiply_each_coefficient_pair_once(monkeypatch):
     assert got == _double_loop(ex, ey) == embed_element(x * y)
 
 
-def test_embed_element_multiplies_each_label_coefficient_once(monkeypatch):
+def test_embed_element_shifts_each_label_coefficient_once(monkeypatch):
     # A curve's image carries one coefficient on both of its monomials, so
-    # the label's coefficient is multiplied in once, not once per monomial.
+    # the label's coefficient is shifted by -pq once, not once per monomial,
+    # and no coefficient is multiplied.
     one = RationalFunction.one()
     x = SkeinT2Element({(): a_pow(2), (1, 0): a_pow(3) + one, (2, -1): one - a_pow(1), (0, 1): one})
-    for label in ((1, 0), (2, -1), (0, 1)):
-        embed_curve(*label)  # fill the cache, so only embed_element's products count
-    products = []
-    mul = RationalFunction.__mul__
+    products, shifts = [], []
+    mul, shift = RationalFunction.__mul__, RationalFunction.shift
 
-    def counted(a, b):
+    def counted_mul(a, b):
         products.append((a, b))
         return mul(a, b)
 
-    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    def counted_shift(a, k):
+        shifts.append((a, k))
+        return shift(a, k)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted_mul)
+    monkeypatch.setattr(RationalFunction, "shift", counted_shift)
     got = embed_element(x)
     monkeypatch.undo()
-    assert len(products) == 3
+    assert products == []
+    assert sorted(k for _, k in shifts) == [0, 0, 2]
     assert got.terms[(2, -1)] is got.terms[(-2, 1)]
     want = QTorusElement.scalar(a_pow(2))
     for label in ((1, 0), (2, -1), (0, 1)):

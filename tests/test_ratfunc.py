@@ -68,6 +68,21 @@ def _random_rf(rng, allow_zero=True):
     return RationalFunction(num, den)
 
 
+def test_shift_is_multiplication_by_a_power():
+    rng = random.Random(31)
+    xs = [ZERO, ONE, rf({3: -1, 0: Fraction(2, 3)})] + [_random_rf(rng) for _ in range(200)]
+    for x in xs:
+        assert x.shift(0) is x
+        for k in (rng.randint(-6, -1), rng.randint(1, 6)):
+            got = x.shift(k)
+            assert got == x * a_pow(k)
+            assert got.den is x.den
+            _assert_canonical(got)
+    # Fraction coefficients and denominators other than 1 both occurred.
+    assert any(not x.den.is_one() for x in xs)
+    assert any(type(c) is Fraction for x in xs for c in x.num.terms.values())
+
+
 def test_canonical_form_idempotent():
     rng = random.Random(7)
     for _ in range(200):
@@ -288,6 +303,23 @@ def test_laurent_operations_match_reference_over_fraction():
     # Products with rational coefficients, integral ones and zero all occurred.
     assert {("*", True, False), ("*", False, False), ("*", False, True)} <= seen
     assert LaurentPoly({1: 1, 0: 1}) * LaurentPoly({1: 1, 0: -1}) == LaurentPoly({2: 1, 0: -1})
+
+
+def test_monomial_product_matches_the_convolution():
+    # A one-term operand c * A^k takes the shift path on either side.
+    rng = random.Random(37)
+    for c in (1, -1, 3, Fraction(2, 3)):
+        for k in (-3, 0, 2):
+            mono = {k: Fraction(c)}
+            for _ in range(40):
+                other = {e: Fraction(x) for e, x in _mixed_poly_pair(rng)[0].items()}
+                want = _reference_poly_op("*", mono, other)
+                for got in (
+                    LaurentPoly(mono) * LaurentPoly(other),
+                    LaurentPoly(other) * LaurentPoly(mono),
+                ):
+                    assert got.terms == want, (c, k, other)
+                    assert all(_is_stored(x) for x in got.terms.values())
 
 
 # ---- differential tests: the gcd-free operations against the constructor

@@ -89,6 +89,25 @@ def test_certificate_with_a_fractional_matrix_entry_is_refused():
                 Reduction3Certificate.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("pair", [[-2, 5, 0], [-2.0, 5], ["-2", 5], [True, 5]])
+def test_certificate_pairs_must_be_two_ints(pair):
+    _, cert = reduce_curve(Curve3.of(2, 3, 5))
+    doc = json.loads(json.dumps(cert.to_json_dict()))
+    assert doc["steps"][0]["from_pair"] == [-2, 5]
+    doc["steps"][0]["from_pair"] = pair
+    with pytest.raises(ValueError, match="from_pair must be 2 ints"):
+        Reduction3Certificate.from_json_dict(doc)
+
+
+def test_certificate_triples_must_be_three_ints():
+    _, cert = reduce_curve(Curve3.of(2, 3, 5))
+    for triple in ([2, 3, 5, 0], [2, 3.0, 5], [2, "3", 5], [2, 3, True]):
+        doc = json.loads(json.dumps(cert.to_json_dict()))
+        doc["input"] = triple
+        with pytest.raises(ValueError, match="input must be 3 ints"):
+            Reduction3Certificate.from_json_dict(doc)
+
+
 def test_push_examples():
     assert Z0.push(3, 2) == Curve3.of(3, 2, 0)
     e = StandardEmbedding(((0, 0, 1), (5, -1, 0), (1, 0, 0)), (1, 3))
