@@ -7,19 +7,20 @@ parallel copies of a curve).  certificate() produces an auditable chain
 of at most two steps witnessing the collapse of a given label.  Each step
 is one scaled commutator between two labels with equal parities and a
 nonzero determinant.  verify_certificate() walks the chain once: each
-step's commutator must expand, through the curve product, to from - to,
-the chain must run from the input to the certified label, and that label
-must be the input's class; any defect raises VerificationError.
-closure_check() re-derives the partition independently with a
-union-find over a finite box of labels.
+step's commutator must expand to from - to by the closed form [c, m] =
+(A^d - A^-d) (L(c+m) - L(c-m)), d = det(c, m) != 0, of the product rule
+the oracle sweep checks; the chain must run from the input to the
+certified label, and that label must be the input's class; any defect
+raises VerificationError.  closure_check() re-derives the partition
+independently with a union-find over a finite box of labels.
 """
 
 from __future__ import annotations
 
 from .combination import Combination
-from .errors import Record, VerificationError, int_tuple
+from .errors import Record, VerificationError, int_tuple, json_fields
 from .ratfunc import a_pow
-from .torus2 import EMPTY, SkeinT2Element, canonical_pair, commutator, curve
+from .torus2 import EMPTY, SkeinT2Element, canonical_pair, curve
 
 #: The five classes spanning the quotient, in render order.
 CLASSES: tuple[tuple, ...] = (EMPTY, (0, 1), (1, 0), (1, 1), (2, 0))
@@ -53,20 +54,19 @@ class CertStep(Record):
 
     __slots__ = ("from_pair", "to_pair", "conjugator", "scale")
 
-    def midpoint(self) -> tuple[int, int]:
+    def expansion(self) -> SkeinT2Element:
+        """scale * [c, m], c the conjugator and m the midpoint of from and to, in closed form."""
         fp, tp = self.from_pair, self.to_pair
         if (fp[0] + tp[0]) % 2 or (fp[1] + tp[1]) % 2:
             raise VerificationError(f"step {fp} -> {tp} has no integer midpoint")
-        return ((fp[0] + tp[0]) // 2, (fp[1] + tp[1]) // 2)
-
-    def expansion(self) -> SkeinT2Element:
-        mid = self.midpoint()
-        d = self.conjugator[0] * mid[1] - self.conjugator[1] * mid[0]
+        m0, m1 = (fp[0] + tp[0]) // 2, (fp[1] + tp[1]) // 2
+        c0, c1 = self.conjugator
+        d = c0 * m1 - c1 * m0
         if d == 0:
-            raise VerificationError(
-                f"step {self.from_pair} -> {self.to_pair}: conjugator determinant is 0"
-            )
-        return commutator(curve(*self.conjugator), curve(*mid)).scale(self.scale)
+            raise VerificationError(f"step {fp} -> {tp}: conjugator determinant is 0")
+        # d != 0 makes c+m and c-m two distinct nonzero curves, so no term merges.
+        k = self.scale * (a_pow(d) - a_pow(-d))
+        return SkeinT2Element({canonical_pair(c0 + m0, c1 + m1): k, canonical_pair(c0 - m0, c1 - m1): -k})
 
 
 class AbCertificate(Record):
@@ -93,13 +93,14 @@ class AbCertificate(Record):
     def from_json_dict(cls, doc: dict) -> "AbCertificate":
         from .expressions import parse_scalar
 
+        kinds = {"input": object, "canonical": object, "steps": list}
+        source, canonical, steps = json_fields(doc, "certificate", kinds)
+        step_kinds = {"from": object, "to": object, "conjugator": object, "scale": str}
         steps = tuple(
-            CertStep(*(int_tuple(s[key], 2, key) for key in ("from", "to", "conjugator")),
-                     parse_scalar(s["scale"]))
-            for s in doc["steps"]
+            CertStep(*(int_tuple(v, 2, key) for key, v in zip(step_kinds, pairs)), parse_scalar(scale))
+            for *pairs, scale in (json_fields(s, "step", step_kinds) for s in steps)
         )
-        ends = (int_tuple(doc[key], 2, key) for key in ("input", "canonical"))
-        return cls(*ends, steps)
+        return cls(int_tuple(source, 2, "input"), int_tuple(canonical, 2, "canonical"), steps)
 
 
 def _step(x: tuple[int, int], y: tuple[int, int]) -> CertStep:
@@ -136,8 +137,8 @@ def verify_certificate(cert: AbCertificate) -> None:
     """Replay a certificate; raise VerificationError on any defect.
 
     One walk from canonical_pair(source): each step must start where the
-    chain stands, and its commutator must expand, through the curve
-    product, to curve(from) - curve(to).  The walk must end on the
+    chain stands, and its expansion, the closed form of its scaled
+    commutator, must be curve(from) - curve(to).  The walk must end on the
     certificate's canonical label, and that label must be the input's
     class.  These checks imply the telescoping sum: the expansions add up
     to curve(source) - curve(canonical), as every inner label cancels.
@@ -152,8 +153,7 @@ def verify_certificate(cert: AbCertificate) -> None:
         expected = curve(*step.from_pair) - curve(*step.to_pair)
         if expansion != expected:
             raise VerificationError(
-                f"step {step.from_pair} -> {step.to_pair}: expansion "
-                f"{expansion} != {expected}"
+                f"step {step.from_pair} -> {step.to_pair}: expansion {expansion} != {expected}"
             )
         cur = step.to_pair
     if canonical_pair(*cur) != cert.canonical:

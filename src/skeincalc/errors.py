@@ -1,4 +1,4 @@
-"""Shared exception types, the read-only record base and its int-tuple field check."""
+"""Shared exception types, the read-only record base and the checks its loaders use."""
 
 from operator import attrgetter
 
@@ -26,6 +26,24 @@ def int_tuple(value, n: int, what: str) -> tuple:
     if type(value) not in (list, tuple) or len(value) != n or any(type(x) is not int for x in value):
         raise ValueError(f"{what} must be {n} ints, got {value!r}")
     return tuple(value)
+
+
+def json_fields(doc, what: str, kinds: dict) -> tuple:
+    """The values of doc's keys, in the order of kinds, doc a JSON object.
+
+    kinds maps each key to the type its value must have (object for a
+    value a later check reads, such as int_tuple).  A doc that is not a
+    dict, a missing key or a value of another type is a ValueError, never
+    the KeyError or TypeError that reading it would raise later.
+    """
+    if type(doc) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    for key, kind in kinds.items():
+        if key not in doc:
+            raise ValueError(f"{what} has no {key!r}")
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"{key} must be a {kind.__name__}, got {doc[key]!r}")
+    return tuple(doc[key] for key in kinds)
 
 
 class Record:

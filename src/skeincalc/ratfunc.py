@@ -494,8 +494,8 @@ _RF_ZERO = RationalFunction(_LP_ZERO)
 _RF_ONE = RationalFunction(_LP_ONE)
 
 
-# Products scale by powers of A with RationalFunction.shift and never call
-# this; parsed powers A^k, framing twists and certificate scales do, and the
+# Products and framing twists scale by powers of A with RationalFunction.shift
+# and never call this; parsed powers A^k and certificate scales do, and the
 # bound keeps a long run on parsed exponents from growing without limit.
 @lru_cache(maxsize=4096)
 def a_pow(k: int) -> RationalFunction:

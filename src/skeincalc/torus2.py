@@ -13,8 +13,8 @@ An element is a finite Q(A)-combination of labels stored as
     (p,q) * (r,s) = A^(ps-qr) (p+r, q+s) + A^-(ps-qr) (p-r, q-s)
 
 extended bilinearly, with () as the unit and any (0, 0) output rewritten
-to twice the empty link.  The first-kind Chebyshev recursion, framing
-twists and commutators are built on top of this product.
+to twice the empty link.  The first-kind Chebyshev recursion and
+commutators are built on top of this product.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .combination import Combination
-from .ratfunc import RationalFunction, a_pow
+from .ratfunc import RationalFunction
 
 EMPTY: tuple = ()
 
@@ -127,11 +127,10 @@ def t_to_jw(n: int) -> dict[int, int]:
 
 
 def framing_twist(x: SkeinT2Element, k: int) -> SkeinT2Element:
-    """Multiply by (-A^3)^k, the effect of k positive framing twists."""
-    rf = a_pow(3 * k)
-    if k % 2:
-        rf = -rf
-    return x.scale(rf)
+    """Multiply by (-A^3)^k, the effect of k positive framing twists: a shift and a sign."""
+    return SkeinT2Element(
+        {label: -c.shift(3 * k) if k % 2 else c.shift(3 * k) for label, c in x.terms.items()}
+    )
 
 
 def commutator(x: SkeinT2Element, y: SkeinT2Element) -> SkeinT2Element:

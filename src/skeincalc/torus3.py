@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import Record, VerificationError, int_tuple
+from .errors import Record, VerificationError, int_tuple, json_fields
 
 Vec3 = tuple[int, int, int]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -120,9 +120,9 @@ class StandardEmbedding(Record):
     __slots__ = ("matrix", "columns")
 
     def __init__(self, matrix, columns: tuple[int, int]):
-        m = tuple(map(tuple, matrix))
-        if len(m) != 3 or any(len(row) != 3 for row in m):
+        if len(matrix) != 3 or any(type(row) not in (list, tuple) or len(row) != 3 for row in matrix):
             raise ValueError("matrix must be 3x3")
+        m = tuple(map(tuple, matrix))
         for x in (*m[0], *m[1], *m[2], *columns):
             if type(x) is not int:  # a float, str or bool is refused, never rounded
                 raise ValueError(f"matrix entries and columns must be ints, got {x!r}")
@@ -195,17 +195,22 @@ class Reduction3Certificate(Record):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Reduction3Certificate":
+        kinds = {"input": object, "canonical": object, "steps": list}
+        source, canonical, steps = json_fields(doc, "certificate", kinds)
+        step_kinds = {"matrix": list, "columns": list, "from_pair": object, "to_pair": object}
         steps = tuple(
             ReductionStep(
-                StandardEmbedding(s["matrix"], tuple(s["columns"])),
-                int_tuple(s["from_pair"], 2, "from_pair"),
-                int_tuple(s["to_pair"], 2, "to_pair"),
+                StandardEmbedding(matrix, tuple(columns)),
+                int_tuple(from_pair, 2, "from_pair"),
+                int_tuple(to_pair, 2, "to_pair"),
             )
-            for s in doc["steps"]
+            for matrix, columns, from_pair, to_pair in (
+                json_fields(s, "step", step_kinds) for s in steps
+            )
         )
         return cls(
-            Curve3(*int_tuple(doc["input"], 3, "input")),
-            Curve3(*int_tuple(doc["canonical"], 3, "canonical")),
+            Curve3(*int_tuple(source, 3, "input")),
+            Curve3(*int_tuple(canonical, 3, "canonical")),
             steps,
         )
 
@@ -239,7 +244,6 @@ def replay_certificate(cert: Reduction3Certificate) -> None:
     input's parity vector.  ValueError comes only from building records:
     Curve3 refuses a triple that is not coprime or not sign-canonical, and
     StandardEmbedding a determinant other than 1 or an entry not an int.
-    Each pair is taken to be two ints; nothing checks that yet.
     """
     cur = cert.source
     for k, step in enumerate(cert.steps):

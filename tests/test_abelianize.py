@@ -17,10 +17,13 @@ from skeincalc.abelianize import (
 )
 from skeincalc.checks import certificate_sweep
 from skeincalc.errors import VerificationError
+from skeincalc.expressions import parse_scalar
 from skeincalc.ratfunc import RationalFunction, a_pow
 from skeincalc.torus2 import EMPTY, commutator, curve, scalar
 
 ONE = RationalFunction.one()
+BOX3 = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if (p, q) != (0, 0)]
+BOX4 = [(p, q) for p in range(-4, 5) for q in range(-4, 5) if (p, q) != (0, 0)]
 
 
 def test_reduce_label_parity_table():
@@ -96,18 +99,42 @@ def test_certificate_box_sweep():
         assert AbCertificate.from_json_dict(doc) == cert
 
 
+def test_step_expansion_matches_the_curve_product():
+    # The closed form against the product it replaces, which stays the
+    # reference here; c runs over both signs of every label in the box.
+    rational = parse_scalar("(2/3*A - 1)/(A^2 + 1)")
+    cases = 0
+    for c in BOX3:
+        for m in BOX3:
+            d = c[0] * m[1] - c[1] * m[0]
+            if d == 0:
+                continue
+            product = commutator(curve(*c), curve(*m))
+            frm, to = (m[0] + c[0], m[1] + c[1]), (m[0] - c[0], m[1] - c[1])
+            for s in (ONE, RationalFunction.zero(), rational, (a_pow(d) - a_pow(-d)).inverse()):
+                assert CertStep(frm, to, c, s).expansion() == product.scale(s), (c, m, s)
+                cases += 1
+    assert cases == 4 * 2112
+
+
 def test_certificate_verifier_rejects_tampering():
     cert = certificate(5, 2)
     bad = AbCertificate(cert.source, cert.canonical, cert.steps[:-1])
     with pytest.raises(VerificationError):
         verify_certificate(bad)
+    # Negating the scale of any one step of any chain breaks it.
+    for label in BOX4:
+        cert = certificate(*label)
+        for i, step in enumerate(cert.steps):
+            negated = CertStep(step.from_pair, step.to_pair, step.conjugator, -step.scale)
+            steps = cert.steps[:i] + (negated,) + cert.steps[i + 1 :]
+            with pytest.raises(VerificationError):
+                verify_certificate(AbCertificate(cert.source, cert.canonical, steps))
     cert = certificate(4, 0)
     assert len(cert.steps) == 2
     first, second = cert.steps
     x, y, v, s = first.from_pair, first.to_pair, first.conjugator, first.scale
     for steps in (
-        (CertStep(x, y, v, -s), second),
-        (first, CertStep(second.from_pair, second.to_pair, second.conjugator, -second.scale)),
         (CertStep(x, y, (1, 1), s), second),  # (1, 1) is not +-v
         (CertStep(x, (y[0], -y[1]), v, s), second),
     ):

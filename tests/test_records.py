@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import json
 import pickle
 
 import pytest
@@ -124,6 +125,53 @@ def test_certificates_are_hashable_values():
     assert {t3, _t3_certificate()} == {t3}
     assert AbCertificate.from_json_dict(ab.to_json_dict()) == ab
     assert Reduction3Certificate.from_json_dict(t3.to_json_dict()) == t3
+
+
+# (loader, path to the edited value, new value or None to delete the key,
+# what the ValueError says); the path () replaces the whole document.
+MALFORMED = [
+    ("ab", (), [5, 2], "certificate must be a JSON object"),
+    ("ab", ("input",), None, "certificate has no 'input'"),
+    ("ab", ("steps", 0, "scale"), None, "step has no 'scale'"),
+    ("ab", ("steps",), {}, "steps must be a list"),
+    ("ab", ("steps",), "", "steps must be a list"),
+    ("ab", ("steps", 0), 1, "step must be a JSON object"),
+    ("ab", ("steps", 0, "scale"), 5, "scale must be a str"),
+    ("t3", (), "certificate", "certificate must be a JSON object"),
+    ("t3", ("canonical",), None, "certificate has no 'canonical'"),
+    ("t3", ("steps", 0, "matrix"), None, "step has no 'matrix'"),
+    ("t3", ("steps",), 7, "steps must be a list"),
+    ("t3", ("steps", 0), [1], "step must be a JSON object"),
+    ("t3", ("steps", 0, "matrix"), 5, "matrix must be a list"),
+    ("t3", ("steps", 0, "matrix"), [1, 0, 0], "matrix must be 3x3"),
+    ("t3", ("steps", 0, "matrix", 2), 5, "matrix must be 3x3"),
+    ("t3", ("steps", 0, "matrix", 2), [0, 1], "matrix must be 3x3"),
+    ("t3", ("steps", 0, "columns"), 2, "columns must be a list"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, message", MALFORMED)
+def test_malformed_certificate_json_is_a_value_error(kind, path, value, message):
+    # Never the KeyError or TypeError that reading the document would raise.
+    if kind == "ab":
+        cert, loader = certificate(5, 2), AbCertificate.from_json_dict
+    else:
+        cert, loader = reduce_curve(Curve3.of(7, 4, 2))[1], Reduction3Certificate.from_json_dict
+    doc = json.loads(json.dumps(cert.to_json_dict()))
+    assert loader(doc) == cert
+    if not path:
+        doc = value
+    else:
+        *head, last = path
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if value is None:
+            del parent[last]
+        else:
+            parent[last] = value
+    with pytest.raises(ValueError, match=message):
+        loader(doc)
 
 
 def test_record_defaults_and_arity():

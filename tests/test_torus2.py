@@ -166,6 +166,8 @@ def test_framing_twist():
     assert framing_twist(x, 1) == x.scale(-a_pow(3))
     assert framing_twist(framing_twist(x, -1), 1) == x
     assert framing_twist(x, 2) == x.scale(a_pow(6))
+    y = curve(2, 1).scale((a_pow(1) + TWO).inverse()) + curve(1, 0)
+    assert framing_twist(y, -3) == y.scale(-a_pow(-9))
 
 
 def test_commutator_of_equal_arguments_vanishes():
