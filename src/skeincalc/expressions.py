@@ -31,18 +31,23 @@ arithmetic where no '/' occurs.
 A parenthesized Laurent polynomial with integer coefficients, such as
 (2*A^-5 - A + 3), is scanned as one POLY token: '(' then signed
 monomials c, A^e or c*A^e joined by '+' or '-', then ')', with spaces
-as the only blanks.  Every rendered coefficient is made of such
-literals.  The parser sums its terms straight into the polynomial's
-coefficient map, with no product or sum per monomial; the value is the
-one the grammar gives the same text.  Any other text at a '(' (a tab or
-newline, a '/', a curve label, a malformed power) is left to the
-grammar token by token.
+as the only blanks.  The parser sums its terms straight into the
+polynomial's coefficient map, with no product or sum per monomial.  A
+curve label with spaces as its only blanks, such as ( -1, 2), is one
+LABEL token, which the parser turns into curve(p, q) directly.  Each
+value is the one the grammar gives the same text.  Any other text at a
+'(' (a tab or newline, a '/', a malformed power) is left to the grammar
+token by token.  A rendered coefficient with int coefficients is made of
+literals, but one with fractions is not: (2*A)/(4*A^2 + 2)*(1,0)
+renders as ((1/2*A)/(A^2 + 1/2))*(1,0), read through the grammar.  A
+Laurent polynomial divided by one is RationalFunction(n, d): one _monic
+and one _cancel, with no inverse and no product.
 
 Nesting through '(' and unary minus is bounded by MAX_DEPTH, so a deep
 input ends in an ExpressionError rather than a RecursionError.  A
 literal is as deep as the grammar nests it: one level for its '(' and
 one more for a leading minus.  Errors carry the line, column and
-offending token; a literal is named by its '('.  A token is a plain
+offending token; a literal or label is named by its '('.  A token is a plain
 (kind, text, line, col) tuple.
 """
 
@@ -71,9 +76,8 @@ Token = tuple[str, str, int, int]  # (kind, text, line, col)
 # The text of a POLY token, a Laurent-polynomial literal (module docstring).
 _MONO = r"(?:\d+(?: *\* *A(?: *\^ *-? *\d+)?)?|A(?: *\^ *-? *\d+)?)"
 _LITERAL = re.compile(rf"\( *-? *{_MONO}(?: *[+-] *{_MONO})* *\)")
-# One signed monomial of a literal with its spaces removed; it also matches
-# the empty string, at the parentheses.
-_TERM = re.compile(r"([+-]?)(\d*)\*?(A?)(?:\^(-?\d+))?")
+# The text of a LABEL token, a curve label with spaces as its only blanks.
+_LABEL = re.compile(r"\( *-? *\d+ *, *-? *\d+ *\)")
 
 _SINGLE = {
     "+": "PLUS",
@@ -103,9 +107,9 @@ def tokenize(source: str) -> list[Token]:
             col = 1
             continue
         start = col
-        if ch == "(" and (m := _LITERAL.match(source, i)):
+        if ch == "(" and (m := _LITERAL.match(source, i) or _LABEL.match(source, i)):
             j = m.end()
-            tokens.append(("POLY", source[i:j], line, start))
+            tokens.append(("POLY" if m.re is _LITERAL else "LABEL", source[i:j], line, start))
             col += j - i
             i = j
             continue
@@ -136,18 +140,21 @@ def tokenize(source: str) -> list[Token]:
 
 
 def _literal(text: str) -> LaurentPoly:
-    # The Laurent polynomial a POLY token spells, summed term by term.
+    # The Laurent polynomial a POLY token spells, summed term by term: each
+    # signed monomial c, [c*]A or [c*]A^e after splitting the body at '+'.
     acc: dict[int, int] = {}
     get = acc.get
-    for sign, digits, a, exp in _TERM.findall(text.replace(" ", "")):
+    body = text[1:-1].replace(" ", "").replace("-", "+-").replace("^+-", "^-")
+    for mono in body.split("+"):
+        if not mono:
+            continue  # before a leading sign
+        c, a, e = mono.partition("A")
         if a:
-            e = int(exp) if exp else 1
-        elif digits:
-            e = 0
+            e = int(e[1:]) if e else 1
+            c = -1 if c == "-" else int(c[:-1]) if c else 1
         else:
-            continue  # the empty matches at '(' and ')'
-        c = int(digits) if digits else 1
-        acc[e] = get(e, 0) + (-c if sign == "-" else c)
+            e, c = 0, int(c)
+        acc[e] = get(e, 0) + c
     return LaurentPoly._raw({e: c for e, c in acc.items() if c})
 
 
@@ -193,9 +200,11 @@ class _Parser:
 
     def expr(self) -> Value:
         value = self.term()
+        tokens = self.tokens
         acc = None  # the sum's coefficient map, from its first element on
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            minus = self.advance()[0] == "MINUS"
+        while (kind := tokens[self.pos][0]) == "PLUS" or kind == "MINUS":
+            self.pos += 1
+            minus = kind == "MINUS"
             rhs = self.term()
             if acc is None and SkeinT2Element not in (type(value), type(rhs)):
                 if type(value) is not type(rhs):
@@ -210,8 +219,9 @@ class _Parser:
 
     def term(self) -> Value:
         value = self.factor()
-        while self.peek()[0] in ("STAR", "SLASH"):
-            op = self.advance()
+        tokens = self.tokens
+        while (op := tokens[self.pos])[0] == "STAR" or op[0] == "SLASH":
+            self.pos += 1
             rhs = self.factor()
             if op[0] == "SLASH":
                 value = self._divide(value, rhs, op)
@@ -233,12 +243,16 @@ class _Parser:
             c = divisor.coeff(EMPTY)
         if c.is_zero():
             self.fail(op, "division by zero")
+        if type(value) is LaurentPoly and type(c) is LaurentPoly:
+            return RationalFunction(value, c)  # one _monic and one _cancel
         inv = _scalar(c).inverse()
         return value.scale(inv) if type(value) is SkeinT2Element else _scalar(value) * inv
 
     def factor(self) -> Value:
-        if self.peek()[0] == "MINUS":
-            self._nest(self.advance())
+        tok = self.tokens[self.pos]
+        if tok[0] == "MINUS":
+            self.pos += 1
+            self._nest(tok)
             value = -self.factor()
             self.depth -= 1
             return value
@@ -252,13 +266,17 @@ class _Parser:
         return sign * int(self.expect("INT", what)[1])
 
     def atom(self) -> Value:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         kind, text, _, _ = tok
+        if kind == "LABEL":
+            self.pos += 1
+            p, q = text[1:-1].replace(" ", "").split(",")
+            return SkeinT2Element.curve(int(p), int(q))
         if kind == "INT":
-            self.advance()
+            self.pos += 1
             return LaurentPoly.constant(int(text))
         if kind == "NAME":
-            self.advance()
+            self.pos += 1
             if text == "A":
                 exp = 1
                 if self.peek()[0] == "CARET":
@@ -277,7 +295,7 @@ class _Parser:
                 self._nest(("MINUS", "-", tok[2], tok[3] + len(text) - len(body)))
                 self.depth -= 1
             self.depth -= 1
-            self.advance()
+            self.pos += 1
             return _literal(text)
         if kind == "LPAREN":
             # Curve label when an integer then a comma follow.
@@ -289,7 +307,8 @@ class _Parser:
                 q = self._signed_int("an integer")
                 self.expect("RPAREN", "')'")
                 return SkeinT2Element.curve(p, q)
-            self._nest(self.advance())
+            self.pos += 1
+            self._nest(tok)
             value = self.expr()
             self.expect("RPAREN", "')'")
             self.depth -= 1
@@ -298,9 +317,9 @@ class _Parser:
 
 
 def _shown(tok: Token) -> str:
-    # A token as an error message names it; a literal by its '('.
+    # A token as an error message names it; a literal or label by its '('.
     kind, text = tok[0], tok[1]
-    return "(" if kind == "POLY" else text or "end of input"
+    return "(" if kind == "POLY" or kind == "LABEL" else text or "end of input"
 
 
 def _scalar(value: LaurentPoly | RationalFunction) -> RationalFunction:

@@ -53,6 +53,18 @@ keeps gcd(f, g) up to a constant, so the sequence ends in a nonzero
 constant (the gcd is 1) or in zero (the last g is the gcd), and only
 that monic result takes a division.
 
+Most gcds are 1, and poly_gcd first tries to prove it at an integer
+point, the test of the heuristic gcd (Char, Geddes and Gonnet, J.
+Symbolic Comput. 7, 1989).  For a and b of two or more int terms with
+exponents in [0, _POINT_CAP = 64], let x = 3 + max|b_i|; coprime values
+at x, x + 1 or x + 2 prove gcd(a, b) = 1.  By Gauss's lemma a common
+factor h of degree >= 1 can be taken in Z[A], so h(x) divides both
+values.  Each root r of h is one of b, so |r| < 1 + max|b_i| (Cauchy's
+bound), |x - r| > 2 and |h(x)| >= 2.  The cap keeps the values small: a
+larger degree runs the sequence, which builds no power of x.  Canonical
+denominators and gcds are monic, and _poly_exact_div divides by a monic
+divisor with no Fraction.
+
 Coefficients are exact rationals of arbitrary precision, stored in one
 type per value: an integral coefficient is an int, any other a
 fractions.Fraction with denominator greater than 1.  So equal values
@@ -299,11 +311,36 @@ def _prem(f: list[int], g: list[int]) -> list[int]:
     return r[len(f) - n + 1 :]
 
 
+# Degree cap of the point test: past it a gcd takes the remainder sequence.
+_POINT_CAP = 64
+
+
+def _coprime_at_points(a: dict[int, int | Fraction], b: dict[int, int | Fraction]) -> bool:
+    # True when coprime values at x = 3 + max|b_i|, x + 1 or x + 2 prove
+    # gcd(a, b) = 1 (module docstring); False proves nothing.  Only operands
+    # of two or more int terms with exponents in [0, _POINT_CAP] are evaluated.
+    if len(a) < 2 or len(b) < 2:
+        return False
+    for t in (a, b):
+        for e, c in t.items():
+            if type(c) is not int or not 0 <= e <= _POINT_CAP:
+                return False
+    x = 3 + max(map(abs, b.values()))
+    ta, tb = a.items(), b.items()
+    for y in (x, x + 1, x + 2):
+        if gcd(sum([c * y**e for e, c in ta]), sum([c * y**e for e, c in tb])) == 1:
+            return True
+    return False
+
+
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd of two ordinary polynomials, 0 when both are 0.
 
-    The primitive remainder sequence over Z of the module docstring.
+    1 when the point test of the module docstring proves it, else the
+    primitive remainder sequence over Z.
     """
+    if _coprime_at_points(a.terms, b.terms):
+        return _LP_ONE
     f, g = _primitive_part(a), _primitive_part(b)
     if len(f) < len(g):
         f, g = g, f
@@ -318,7 +355,8 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    # a / b for ordinary polynomials, by long division that must leave 0.
+    # a / b for ordinary polynomials, by long division that must leave 0;
+    # a monic b takes each quotient term as stored, with no Fraction.
     rem = dict(a.terms)
     quo: dict[int, int | Fraction] = {}
     db = b.max_exp()
@@ -327,7 +365,7 @@ def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         d = max(rem)
         if d < db:
             raise ArithmeticError("polynomial division is not exact")
-        c = _norm(Fraction(rem[d]) / lb)
+        c = rem[d] if lb == 1 else _norm(Fraction(rem[d]) / lb)
         quo[d - db] = c
         for e, bc in b.terms.items():
             k = e + d - db

@@ -360,3 +360,97 @@ def test_near_literals_keep_their_values_and_errors():
             parse_element(text)
         assert str(err.value) == f"line {line}, column {col}: {message}", text
     assert parse_element("(" * 99 + "(A)" + ")" * 99) == scalar(a_pow(1))
+
+
+# ---- curve labels scanned as one token, and quotients of two polynomials
+
+
+def _random_label(rng):
+    """Seeded label text with spaces as its blanks, and its (p, q)."""
+    def sp():
+        return " " * rng.choice((0, 0, 1, 2))
+
+    p, q = rng.randint(-40, 40), rng.randint(-40, 40)
+    parts = []
+    for n in (p, q):
+        sign = "-" + sp() if n < 0 or (n == 0 and rng.random() < 0.2) else ""
+        parts.append(sp() + sign + _digits(rng, abs(n)) + sp())
+    return "(" + ",".join(parts) + ")", (p, q)
+
+
+def test_labels_parse_to_their_curves_seeded():
+    rng = random.Random(18)
+    tail = " + 2*A"  # its tokens start 1, 3, 4 and 5 characters after the label
+    for _ in range(500):
+        text, (p, q) = _random_label(rng)
+        assert [tok[0] for tok in tokenize(text)] == ["LABEL", "EOF"], text
+        want = parse_element(text + tail)
+        assert parse_element(text) == curve(p, q), text
+        assert want == curve(p, q) + scalar(RationalFunction.from_int(2) * a_pow(1)), text
+        # A tab or newline at any blank leaves the label to the grammar's tokens.
+        for i in [i for i, ch in enumerate(text) if ch == " "] + [1, len(text) - 1]:
+            for blank in ("\t", "\n"):
+                source = text[:i] + blank + text[i + (text[i] == " "):] + tail
+                tokens = tokenize(source)
+                assert "LABEL" not in [tok[0] for tok in tokens], source
+                assert parse_element(source) == want, source
+                # The tokens after the label keep the columns their offsets give.
+                start = len(source) - len(tail)
+                for tok, offset in zip(tokens[-5:-1], (1, 3, 4, 5)):
+                    k = start + offset
+                    assert tok[2:] == (source.count("\n", 0, k) + 1, k - source.rfind("\n", 0, k)), source
+    assert parse_element("(\u0663,-1)") == curve(3, -1)
+    assert tokenize("(\u0663,-1)")[0] == ("LABEL", "(\u0663,-1)", 1, 1)
+    assert tokenize("(1,0) (0,1)")[1] == ("LABEL", "(0,1)", 1, 7)
+
+
+def test_near_labels_keep_their_errors():
+    errors = [
+        ("(1,", 1, 4, "expected an integer, found 'end of input'"),
+        ("(1,0", 1, 5, "expected ')', found 'end of input'"),
+        ("(--1,0)", 1, 5, "expected ')', found ','"),
+        ("(1,0,0)", 1, 5, "expected ')', found ','"),
+        ("(1,0)(0,1)", 1, 6, "trailing input after expression (near '(')"),
+        ("( -1,\t-2)(3,4)", 1, 10, "trailing input after expression (near '(')"),
+        ("A^(1,0)", 1, 3, "expected an integer exponent, found '('"),
+        ("2*A/(1,0)", 1, 4, "divisor must be a scalar (near '/')"),
+    ]
+    for text, line, col, message in errors:
+        with pytest.raises(ExpressionError) as err:
+            parse_element(text)
+        assert str(err.value) == f"line {line}, column {col}: {message}", text
+
+
+def _reference_quotient(n, d):
+    # (N)/(D) as the parser computed it before the one-step quotient.
+    return RationalFunction(n) * RationalFunction(d).inverse()
+
+
+def test_polynomial_quotient_matches_product_by_the_inverse():
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(300):
+        n, _ = _random_literal(rng)
+        d, _ = _random_literal(rng)
+        num, den = parse_scalar(n), parse_scalar(d)
+        if den.is_zero():
+            continue
+        if rng.random() < 0.3:  # D dividing N
+            n = f"({num.num * den.num})"
+            num = parse_scalar(n)
+            if len(den.num.terms) > 1 and not num.is_zero():
+                kinds.add("divisor")
+        want = _reference_quotient(num.num, den.num)
+        assert parse_scalar(f"{n}/{d}") == want, (n, d)
+        kinds.add("non-monic" if abs(den.num.leading_coeff()) != 1 else "monic")
+        kinds.add("power of A" if den.num.min_exp() else "ordinary")
+        kinds.add("over 1" if want.den.is_one() else "quotient")
+        if not num.is_zero():  # x/(N)/(D) divides left to right
+            x = LaurentPoly({0: -3, 2: 1})
+            want = _reference_quotient(x, num.num) * RationalFunction(den.num).inverse()
+            assert parse_scalar(f"({x})/{n}/{d}") == want, (n, d)
+    assert kinds == {"non-monic", "monic", "power of A", "ordinary", "over 1", "quotient", "divisor"}
+    assert parse_scalar("(2*A^3 - 2*A)/(4*A^2 - 4)") == RationalFunction(LaurentPoly({1: Fraction(1, 2)}))
+    with pytest.raises(ExpressionError) as err:
+        parse_element("(A + 1)/(0)")
+    assert str(err.value) == "line 1, column 8: division by zero (near '/')"

@@ -5,7 +5,15 @@ import pytest
 
 from skeincalc.expressions import parse_scalar
 from skeincalc.quantum_torus import embed_curve
-from skeincalc.ratfunc import LaurentPoly, RationalFunction, _poly_exact_div, a_pow, poly_gcd
+from skeincalc.ratfunc import (
+    _POINT_CAP,
+    LaurentPoly,
+    RationalFunction,
+    _coprime_at_points,
+    _poly_exact_div,
+    a_pow,
+    poly_gcd,
+)
 
 ZERO = RationalFunction.zero()
 ONE = RationalFunction.one()
@@ -551,6 +559,76 @@ def test_poly_gcd_modulus_edges():
         assert poly_gcd(a, b) == g
         assert poly_gcd(b, a) == g
         assert poly_gcd(a, b).terms == _euclid_gcd(a.terms, b.terms)
+
+
+# ---- the point test: gcd(a(x), b(x)) = 1 past Cauchy's bound proves gcd(a, b) = 1
+
+# Planted common factors: non-monic (3A + 2), with a root far from 0 (A - 7,
+# 5A^2 - 50), the factor A, and degrees up to 3.
+_PLANTED = (
+    {0: 2, 1: 3},
+    {0: -7, 1: 1},
+    {0: -50, 2: 5},
+    {1: 1},
+    {0: -1, 1: 1},
+    {0: 1, 2: 1},
+    {0: 1, 1: -4, 3: 9},
+)
+
+
+def _assert_shared(a, b, g):
+    assert not _coprime_at_points(a.terms, b.terms), (a, b)
+    assert poly_gcd(a, b).terms == _euclid_gcd(a.terms, b.terms) == g.terms, (a, b)
+
+
+def test_point_test_never_proves_a_planted_factor_coprime():
+    rng = random.Random(41)
+    proved = coprime = 0
+    for _ in range(400):
+        h = LaurentPoly(rng.choice(_PLANTED))
+        if rng.random() < 0.3:
+            h = _random_integral(rng, 3, 40)
+            if h.is_zero() or h.max_exp() == 0:
+                continue
+        a, b = _random_integral(rng, 6, 30), _random_integral(rng, 6, 30)
+        if len(a.terms) < 2 or len(b.terms) < 2:
+            continue
+        g = poly_gcd(a * h, b * h)
+        assert g.max_exp() >= 1
+        _assert_shared(a * h, b * h, g)
+        # The same operands without h are usually coprime, and usually proved so.
+        if _euclid_gcd(a.terms, b.terms) == {0: 1}:
+            coprime += 1
+            proved += _coprime_at_points(a.terms, b.terms)
+        else:
+            assert not _coprime_at_points(a.terms, b.terms)
+    assert proved >= 0.8 * coprime > 0
+    # A point x = 2 would find the values 3 and 4 here, which share nothing:
+    # at x = 5 they are 24 and 28.
+    _assert_shared(LaurentPoly({0: -1, 2: 1}), LaurentPoly({0: -2, 1: 1, 2: 1}), LaurentPoly({0: -1, 1: 1}))
+    # x = 1 + max|b_i| = 3, with no margin past Cauchy's bound, would find 5 and 4.
+    _assert_shared(LaurentPoly({0: -4, 2: 1}), LaurentPoly({0: -2, 1: -1, 2: 1}), LaurentPoly({0: -2, 1: 1}))
+
+
+def test_point_test_skips_what_it_cannot_evaluate():
+    a_plus_2 = {0: 2, 1: 1}
+    # Each pair is coprime, and its values at 3 + max|b_i| are coprime too.
+    assert _coprime_at_points({0: 1, _POINT_CAP: 1}, a_plus_2)
+    assert _coprime_at_points({0: 1, 1: 1}, a_plus_2)
+    skipped = [
+        ({0: Fraction(1, 2), 1: 1}, a_plus_2),  # a Fraction coefficient
+        ({0: 1, 1: 1}, {0: Fraction(2, 3), 1: 1}),
+        ({-1: 1, 1: 1}, a_plus_2),  # a negative exponent
+        ({0: 1, 1: 1}, {-2: 3, 1: 1}),
+        ({3: 1}, a_plus_2),  # a one-term operand
+        ({0: 1, 1: 1}, {2: 5}),
+        ({0: 1, _POINT_CAP + 1: 1}, a_plus_2),  # a degree above the cap
+        ({0: 1, 1: 1}, {0: 3, _POINT_CAP + 1: 1}),
+    ]
+    for a, b in skipped:
+        assert not _coprime_at_points(a, b), (a, b)
+        if min(a) >= 0 and min(b) >= 0:
+            assert poly_gcd(LaurentPoly(a), LaurentPoly(b)).terms == _euclid_gcd(a, b)
 
 
 def test_modulus_edges_reduce_through_constructor_and_parser():
