@@ -6,13 +6,19 @@ empty link, (1,0), (0,1), (1,1) and (2,0) (the last standing for two
 parallel copies of a curve).  certificate() produces an auditable chain
 of at most two steps witnessing the collapse of a given label.  Each step
 is one scaled commutator between two labels with equal parities and a
-nonzero determinant.  verify_certificate() walks the chain once: each
-step's commutator must expand to from - to by the closed form [c, m] =
-(A^d - A^-d) (L(c+m) - L(c-m)), d = det(c, m) != 0, of the product rule
-the oracle sweep checks; the chain must run from the input to the
-certified label, and that label must be the input's class; any defect
-raises VerificationError.  closure_check() re-derives the partition
-independently with a union-find over a finite box of labels.
+nonzero determinant.  verify_certificate() walks the chain once: it must
+run from the input to the certified label, that label must be the input's
+class, and any defect raises VerificationError.  A step claims scale *
+[c, m] = from - to, c the conjugator and m the midpoint.  In the closed
+form [c, m] = (A^d - A^-d) (P - M) of the product rule the oracle sweep
+checks, d = det(c, m) != 0 makes P = L(c+m) and M = L(c-m) two distinct
+nonzero labels.  So, with F = L(from) and T = L(to), the claim holds
+exactly when neither pair is (0,0) (curve(0,0) is 2*empty, and no
+expansion has an empty term) and either F == T (d != 0 then forces
+from == to) and the scale is 0, or (P, M) == (F, T) and 1/scale ==
+A^d - A^-d, or (P, M) == (T, F) and 1/scale == A^-d - A^d.  Replay
+decides it so, building no skein element.  closure_check() re-derives
+the partition independently with a union-find over a finite box.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ class CertStep(Record):
 
     __slots__ = ("from_pair", "to_pair", "conjugator", "scale")
 
-    def expansion(self) -> SkeinT2Element:
-        """scale * [c, m], c the conjugator and m the midpoint of from and to, in closed form."""
+    def _labels(self) -> tuple[tuple[int, int], tuple[int, int], int]:
+        """L(c+m), L(c-m) and d = det(c, m), c the conjugator and m the midpoint of from and to."""
         fp, tp = self.from_pair, self.to_pair
         if (fp[0] + tp[0]) % 2 or (fp[1] + tp[1]) % 2:
             raise VerificationError(f"step {fp} -> {tp} has no integer midpoint")
@@ -65,8 +71,13 @@ class CertStep(Record):
         if d == 0:
             raise VerificationError(f"step {fp} -> {tp}: conjugator determinant is 0")
         # d != 0 makes c+m and c-m two distinct nonzero curves, so no term merges.
+        return canonical_pair(c0 + m0, c1 + m1), canonical_pair(c0 - m0, c1 - m1), d
+
+    def expansion(self) -> SkeinT2Element:
+        """scale * [c, m] in closed form, c the conjugator and m the midpoint of from and to."""
+        plus, minus, d = self._labels()
         k = self.scale * (a_pow(d) - a_pow(-d))
-        return SkeinT2Element({canonical_pair(c0 + m0, c1 + m1): k, canonical_pair(c0 - m0, c1 - m1): -k})
+        return SkeinT2Element({plus: k, minus: -k})
 
 
 class AbCertificate(Record):
@@ -133,15 +144,29 @@ def certificate(p: int, q: int) -> AbCertificate:
     return AbCertificate((p, q), target, (_step(start, via), _step(via, target)))
 
 
+def _holds(step: CertStep) -> bool:
+    # expansion() == curve(from) - curve(to), decided by the step rule of the module docstring.
+    plus, minus, d = step._labels()
+    if not (any(step.from_pair) and any(step.to_pair)):
+        return False
+    f, t, s = canonical_pair(*step.from_pair), canonical_pair(*step.to_pair), step.scale
+    if f == t or s.is_zero():
+        return f == t and s.is_zero()
+    d = -d if (plus, minus) == (t, f) else d
+    return f in (plus, minus) and t in (plus, minus) and s.inverse() == a_pow(d) - a_pow(-d)
+
+
 def verify_certificate(cert: AbCertificate) -> None:
     """Replay a certificate; raise VerificationError on any defect.
 
     One walk from canonical_pair(source): each step must start where the
-    chain stands, and its expansion, the closed form of its scaled
-    commutator, must be curve(from) - curve(to).  The walk must end on the
-    certificate's canonical label, and that label must be the input's
-    class.  These checks imply the telescoping sum: the expansions add up
-    to curve(source) - curve(canonical), as every inner label cancels.
+    chain stands, and scale * [c, m] must be curve(from) - curve(to): with
+    P, M, F, T the labels of c+m, c-m, from, to and d = det(c, m), both
+    from and to nonzero and either F == T and scale == 0, or (P, M) ==
+    (F, T) and 1/scale == A^d - A^-d, or (P, M) == (T, F) and 1/scale ==
+    A^-d - A^d (module docstring).  Only a refused step builds elements,
+    for its message.  The walk must end on the certificate's canonical
+    label, the input's class, so the steps telescope to source - canonical.
     """
     if cert.source == (0, 0):
         raise VerificationError("(0,0) is not a curve label")
@@ -149,9 +174,9 @@ def verify_certificate(cert: AbCertificate) -> None:
     for step in cert.steps:
         if step.from_pair != cur:
             raise VerificationError(f"step starts at {step.from_pair}, chain is at {cur}")
-        expansion = step.expansion()
-        expected = curve(*step.from_pair) - curve(*step.to_pair)
-        if expansion != expected:
+        if not _holds(step):
+            expansion = step.expansion()
+            expected = curve(*step.from_pair) - curve(*step.to_pair)
             raise VerificationError(
                 f"step {step.from_pair} -> {step.to_pair}: expansion {expansion} != {expected}"
             )

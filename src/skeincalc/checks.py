@@ -200,10 +200,6 @@ def random_embedding(rng: random.Random) -> StandardEmbedding:
     return StandardEmbedding(_random_unimodular(rng), tuple(cols))
 
 
-def _dot(u, v) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def intersection_sweep(count: int, seed: int = 23):
     """Check common_curve on seeded pairs of distinct tori; returns (count, None)."""
     rng = random.Random(seed)
@@ -213,7 +209,7 @@ def intersection_sweep(count: int, seed: int = 23):
         if torus3.cross(e1.normal(), e2.normal()) == (0, 0, 0):
             continue
         w = torus3.common_curve(e1, e2)
-        if _dot(w.coords, e1.normal()) or _dot(w.coords, e2.normal()):
+        if torus3.dot(w.coords, e1.normal()) or torus3.dot(w.coords, e2.normal()):
             raise VerificationError(f"{w} not orthogonal to both normals")
         if math.gcd(*w.coords) != 1:
             raise VerificationError(f"{w} is not primitive")

@@ -14,10 +14,11 @@ cross product of c and e and M = find_diffeo(n), so M*n = (1,0,0).  M is
 unimodular, so rows 2 and 3 of M are a basis of the saturated plane
 L = n^perp in Z^3; the step's embedding is the transpose of M with
 columns (2, 3), and its from_pair and to_pair are the coordinates of c
-and e in that basis.  Both c and e lie in L, and c - e lies in 2Z^3 and
-in L, so in 2L because L is saturated: the two pairs agree mod 2.  Both
-are coprime because c and e are primitive.  Every step's matrix has
-determinant exactly +1.
+and e in that basis, the dot products with columns 2 and 3 of the basis
+B = M^-1 that find_diffeo builds, so no adjugate of the embedding is
+taken.  Both c and e lie in L, and c - e lies in 2Z^3 and in L, so in 2L
+because L is saturated: the two pairs agree mod 2.  Both are coprime
+because c and e are primitive.  Every step's matrix has determinant +1.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ def mat_adjugate(m: Mat3) -> Mat3:
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
+
+
+def dot(u: Vec3, v: Vec3) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def cross(u: Vec3, v: Vec3) -> Vec3:
@@ -217,10 +222,10 @@ class Reduction3Certificate(Record):
 
 def _step(c: Vec3, d: Vec3) -> ReductionStep:
     # Rewrite c onto d, with equal parities, in the torus through both (module docstring).
-    m = find_diffeo(primitive_cross(c, d))
-    emb = StandardEmbedding(tuple(zip(*m)), (2, 3))
-    inv = mat_adjugate(emb.matrix)
-    return ReductionStep(emb, mat_vec(inv, c)[1:], mat_vec(inv, d)[1:])
+    basis = _basis(primitive_cross(c, d))
+    emb = StandardEmbedding(tuple(zip(*mat_adjugate(basis))), (2, 3))
+    _, u, v = zip(*basis)
+    return ReductionStep(emb, (dot(u, c), dot(v, c)), (dot(u, d), dot(v, d)))
 
 
 def reduce_curve(c: Curve3) -> tuple[Curve3, Reduction3Certificate]:
@@ -276,23 +281,22 @@ def common_curve(e1: StandardEmbedding, e2: StandardEmbedding) -> Curve3:
 def find_diffeo(c: Curve3) -> Mat3:
     """A determinant-1 integer matrix M with M*(p,q,r) = (1,0,0).
 
-    The primitive vector is completed to a unimodular basis with two
-    Bezout steps and the basis matrix is inverted (adjugate, since the
-    determinant is 1).
+    The primitive vector is completed to a unimodular basis B with two
+    Bezout steps, and M = adj(B) = B^-1, as det(B) = 1.
     """
-    p, q, r = c.coords
-    if p == 0 and q == 0:
-        # c == (0,0,1): rotate coordinates.
-        return ((0, 0, 1), (1, 0, 0), (0, 1, 0))
-    d, lam, mu = extended_gcd(p, q)
-    _, alpha, beta = extended_gcd(d, r)
-    basis = (
-        (p, -mu, -beta * (p // d)),
-        (q, lam, -beta * (q // d)),
-        (r, 0, alpha),
-    )
+    basis = _basis(c)
     assert mat_det(basis) == 1
     return mat_adjugate(basis)
+
+
+def _basis(c: Curve3) -> Mat3:
+    # A unimodular matrix whose first column is c.
+    p, q, r = c.coords
+    if p == 0 and q == 0:
+        return ((0, 1, 0), (0, 0, 1), (1, 0, 0))  # c == (0,0,1): rotate coordinates
+    d, lam, mu = extended_gcd(p, q)
+    _, alpha, beta = extended_gcd(d, r)
+    return ((p, -mu, -beta * (p // d)), (q, lam, -beta * (q // d)), (r, 0, alpha))
 
 
 class Generator(Record):

@@ -19,7 +19,7 @@ from skeincalc.checks import certificate_sweep
 from skeincalc.errors import VerificationError
 from skeincalc.expressions import parse_scalar
 from skeincalc.ratfunc import RationalFunction, a_pow
-from skeincalc.torus2 import EMPTY, commutator, curve, scalar
+from skeincalc.torus2 import EMPTY, canonical_pair, commutator, curve, scalar
 
 ONE = RationalFunction.one()
 BOX3 = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if (p, q) != (0, 0)]
@@ -257,3 +257,81 @@ def test_closure_check_deterministic_representatives():
     for rep, members in part.items():
         assert rep == min(members)
         assert members == tuple(sorted(members))
+
+
+def _reference_verify(cert):
+    # verify_certificate as it was before the step rule: each step compared
+    # as two skein elements.  This is the reference the rule must agree with.
+    if cert.source == (0, 0):
+        raise VerificationError("(0,0) is not a curve label")
+    cur = canonical_pair(*cert.source)
+    for step in cert.steps:
+        if step.from_pair != cur:
+            raise VerificationError(f"step starts at {step.from_pair}, chain is at {cur}")
+        expansion = step.expansion()
+        expected = curve(*step.from_pair) - curve(*step.to_pair)
+        if expansion != expected:
+            raise VerificationError(
+                f"step {step.from_pair} -> {step.to_pair}: expansion {expansion} != {expected}"
+            )
+        cur = step.to_pair
+    if canonical_pair(*cur) != cert.canonical:
+        raise VerificationError(f"chain ends at {cur}, not at {cert.canonical}")
+    if cert.canonical != reduce_label(*cert.source):
+        raise VerificationError(f"{cert.canonical} is not the class of {cert.source}")
+
+
+def _step_mutants(step):
+    # Every single mutation of one step: its scale, conjugator, from or to.
+    f, t, c, s = step.from_pair, step.to_pair, step.conjugator, step.scale
+    m = ((f[0] + t[0]) // 2, (f[1] + t[1]) // 2)
+    d = c[0] * m[1] - c[1] * m[0]
+    other = (a_pow(-d) - a_pow(d)).inverse()  # the scale of the other orientation
+    for scale in (-s, RationalFunction.zero(), s * a_pow(1), s * RationalFunction.from_int(2), other):
+        yield CertStep(f, t, c, scale)
+    for conj in ((-c[0], -c[1]), (c[0] + 1, c[1]), (c[0], c[1] + 1)):
+        yield CertStep(f, t, conj, s)
+    for move in ((2, 0), (0, 2)):
+        yield CertStep((f[0] + move[0], f[1] + move[1]), t, c, s)
+        yield CertStep(f, (t[0] + move[0], t[1] + move[1]), c, s)
+    yield CertStep((-f[0], -f[1]), t, c, s)
+    yield CertStep(f, (-t[0], -t[1]), c, s)
+    yield CertStep((0, 0), t, c, s)
+    yield CertStep(f, (0, 0), c, s)
+    yield CertStep(t, f, c, s)
+
+
+def _outcome(verify, cert):
+    try:
+        verify(cert)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+def test_step_rule_agrees_with_the_element_comparison():
+    # Each certificate of box 4, also with an idle step from its class to
+    # itself scaled by 0, under every single mutation of one step: the step
+    # rule accepts exactly when the element comparison does, and refuses
+    # with the same message.
+    accepted = refused = 0
+    for label in BOX4:
+        cert = certificate(*label)
+        chains = [cert.steps]
+        if cert.steps:
+            last = cert.steps[-1]
+            idle = CertStep(last.to_pair, last.to_pair, last.conjugator, RationalFunction.zero())
+            chains.append(cert.steps + (idle,))
+        for steps in chains:
+            for i, step in enumerate(steps):
+                for mutant in _step_mutants(step):
+                    tampered = AbCertificate(
+                        cert.source, cert.canonical, steps[:i] + (mutant,) + steps[i + 1 :]
+                    )
+                    want = _outcome(_reference_verify, tampered)
+                    assert _outcome(verify_certificate, tampered) == want, (tampered, want)
+                    accepted += want is None
+                    refused += want is not None
+    # Both verdicts occur: a negated conjugator names the same commutator
+    # with the labels swapped, and an idle step takes any conjugator.
+    assert (accepted, refused) == (720, 3224)

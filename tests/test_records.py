@@ -3,13 +3,18 @@
 import copy
 import importlib
 import json
+import math
 import pickle
+import random
+from fractions import Fraction
 
 import pytest
 
 import skeincalc
-from skeincalc.abelianize import AbCertificate, CertStep, certificate
-from skeincalc.errors import Record
+from skeincalc.abelianize import AbCertificate, CertStep, certificate, verify_certificate
+from skeincalc.errors import Record, VerificationError
+from skeincalc.expressions import parse_scalar
+from skeincalc.ratfunc import LaurentPoly
 from skeincalc.torus3 import (
     Curve3,
     Generator,
@@ -18,6 +23,7 @@ from skeincalc.torus3 import (
     StandardEmbedding,
     generators,
     reduce_curve,
+    replay_certificate,
 )
 
 # The names the package re-exported eagerly before it resolved them on
@@ -233,3 +239,101 @@ def test_unknown_attribute_is_an_attribute_error():
     assert not hasattr(skeincalc, "Token")
     with pytest.raises(ImportError):
         exec("from skeincalc import no_such_name", {})
+
+
+# The mutations of each certificate kind's JSON, and the keys of its pairs.
+MUTATIONS = {
+    "ab": (("scale", "conjugator", "pair", "drop", "repeat", "delete"), ("from", "to")),
+    "t3": (("matrix", "pair", "drop", "repeat", "delete"), ("from_pair", "to_pair")),
+}
+
+
+def _mutate(doc, kind, rng):
+    # One seeded single mutation of a certificate document, in place;
+    # returns its name.  A certificate with no step has its input moved or
+    # a key deleted.  A changed entry is moved by a small integer or
+    # replaced by a value of another type.
+    steps = doc["steps"]
+    names, pair_keys = MUTATIONS[kind]
+    name = rng.choice(names) if steps else rng.choice(("pair", "delete"))
+    bad = rng.choice((None, None, None, 1.5, "1", True, [1]))
+    if name == "delete":
+        target = rng.choice([doc, *steps])
+        del target[rng.choice(list(target))]
+    elif name == "drop":
+        del steps[rng.randrange(len(steps))]
+    elif name == "repeat":
+        i = rng.randrange(len(steps))
+        steps.insert(i, copy.deepcopy(steps[i]))
+    elif name == "scale":
+        step = rng.choice(steps)
+        scale = parse_scalar(step["scale"])
+        num, den = dict(scale.num.terms), dict(scale.den.terms)
+        poly = rng.choice((num, den))
+        poly[rng.choice(list(poly))] += rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
+        step["scale"] = f"({LaurentPoly(num)})/({LaurentPoly(den)})"
+    else:
+        if name == "matrix":
+            holder, key = rng.choice(rng.choice(steps)["matrix"]), rng.randrange(3)
+        elif name == "conjugator":
+            holder, key = rng.choice(steps), "conjugator"
+        elif steps:
+            holder, key = rng.choice(steps), rng.choice(pair_keys)
+        else:
+            holder, key = doc, "input"
+        if name != "matrix" and bad is not None and rng.random() < 0.5:
+            holder[key] = bad  # the whole pair
+        else:
+            if name != "matrix":
+                holder, key = holder[key], rng.randrange(len(holder[key]))
+            holder[key] = bad if bad is not None else holder[key] + rng.choice((-2, -1, 1, 2))
+    return name
+
+
+@pytest.mark.parametrize("kind", ["ab", "t3"])
+def test_every_json_mutation_is_malformed_or_tampered(kind):
+    # Each seeded single mutation of a valid certificate is refused by the
+    # loader (ValueError) or by the replay (VerificationError), never with a
+    # KeyError, TypeError or AttributeError.  Only a mutation that left the
+    # certificate as it was, or a 3-torus certificate's claim (_claim) as
+    # it was, may pass.
+    rng = random.Random(57)
+    outcomes = {}
+    for _ in range(600):
+        if kind == "ab":
+            label = (rng.randint(-9, 9), rng.randint(-9, 9))
+            if label == (0, 0):
+                continue
+            cert, load, replay = certificate(*label), AbCertificate.from_json_dict, verify_certificate
+        else:
+            triple = [rng.randint(-20, 20) for _ in range(3)]
+            if math.gcd(*triple) != 1:
+                continue
+            cert = reduce_curve(Curve3.of(*triple))[1]
+            load, replay = Reduction3Certificate.from_json_dict, replay_certificate
+        doc = json.loads(json.dumps(cert.to_json_dict()))
+        mutation = _mutate(doc, kind, rng)
+        try:
+            mutant = load(doc)
+            replay(mutant)
+        except (ValueError, VerificationError) as exc:
+            outcome = type(exc).__name__
+        else:
+            outcome = "unchanged" if mutant == cert else "same claim"
+            if outcome != "unchanged":
+                assert kind == "t3" and _claim(mutant) == _claim(cert), doc
+        outcomes.setdefault(mutation, set()).add(outcome)
+    # Every mutation was tried and refused at least once.
+    assert set(outcomes) == set(MUTATIONS[kind][0])
+    assert all(seen & {"ValueError", "VerificationError"} for seen in outcomes.values())
+
+
+def _claim(cert):
+    # What a 3-torus certificate claims.  A step reads only the selected
+    # columns of its matrix, the third being free but for the determinant,
+    # and a pair and its negative name the same curve.
+    def curve(pair):
+        return max(pair, tuple(-x for x in pair))
+
+    steps = [(s.embedding.selected(), curve(s.from_pair), curve(s.to_pair)) for s in cert.steps]
+    return cert.source, cert.canonical, steps

@@ -16,6 +16,7 @@ from skeincalc.torus3 import (
     find_diffeo,
     generators,
     grade_decompose,
+    mat_adjugate,
     mat_det,
     mat_vec,
     primitive_cross,
@@ -360,3 +361,25 @@ def test_normals_are_primitive():
         assert math.gcd(*n) == 1
         u, v = e.selected()
         assert _dot(n, u) == 0 and _dot(n, v) == 0
+
+
+def test_step_pairs_are_dot_products_with_the_basis():
+    # The pairs against the inverse of the embedding, taken as its
+    # adjugate, which they replace; each pair pushes back to its curve.
+    rng = random.Random(41)
+    done = 0
+    while done < 500:
+        c = tuple(rng.randint(-30, 30) for _ in range(3))
+        if math.gcd(*c) != 1:
+            continue
+        c = Curve3.of(*c).coords  # as reduce_curve passes it, so c != -e
+        e = tuple(x % 2 for x in c)
+        if c == e:
+            continue
+        step = _step(c, e)
+        emb = step.embedding
+        inv = mat_adjugate(emb.matrix)
+        assert (step.from_pair, step.to_pair) == (mat_vec(inv, c)[1:], mat_vec(inv, e)[1:])
+        assert emb.push(*step.from_pair) == Curve3.of(*c)
+        assert emb.push(*step.to_pair) == Curve3.of(*e)
+        done += 1
