@@ -13,35 +13,33 @@ Grammar, lowest to highest precedence:
 rational-function text such as (-A^4 - 1)/(A^2 + 1) parses to the scalar
 it denotes.  A '(' opens a curve label exactly when an integer followed
 by a comma comes next.  Evaluation happens during parsing; there is no
-separate syntax tree.  A subexpression evaluates in the smallest ring
-that holds it.  With no '/' and no curve label it is a Laurent
-polynomial (a LaurentPoly), computed with the polynomial ring's own
-sums and products.  It becomes a Q(A) value (a RationalFunction over 1,
-already canonical) at a '/', or when it meets a value of Q(A).  It
-becomes a SkeinT2Element at a curve label, as a multiple of the empty
-link or as the coefficient of the element it meets; a bare label c*(p,q)
-takes c as its coefficient with no product.  A sum t1 + t2 + ... that
-holds an element adds each term, from the first element on, into one
-coefficient map, so it costs one pass and not a copy of the map per
-'+'.  Every ring maps into the next, scalars are central and canonical
-forms are unique, so the result is the same canonical element as
-evaluating everything in the skein algebra, at the cost of polynomial
-arithmetic where no '/' occurs.
+separate syntax tree.  A scalar is a Q(A) value (a RationalFunction)
+from its first token.  Over 1, its sums and products are the Laurent
+polynomial's own, with no gcd.  A quotient of two scalars over 1 is
+RationalFunction(n, d): one _monic and one _cancel, with no inverse and
+no product; any other quotient is a product by the divisor's inverse.
+A scalar becomes a SkeinT2Element at a curve label, as a multiple of
+the empty link or as the coefficient of the element it meets; a bare
+label c*(p,q) takes c as its coefficient with no product.  A sum t1 +
+t2 + ... that holds an element adds each term, from the first element
+on, into one coefficient map, so it costs one pass and not a copy of
+the map per '+'.  Scalars are central and canonical forms are unique,
+so the result is the same canonical element as evaluating everything in
+the skein algebra.
 
 A parenthesized Laurent polynomial with integer coefficients, such as
 (2*A^-5 - A + 3), is scanned as one POLY token: '(' then signed
 monomials c, A^e or c*A^e joined by '+' or '-', then ')', with spaces
 as the only blanks.  The parser sums its terms straight into the
-polynomial's coefficient map, with no product or sum per monomial.  A
-curve label with spaces as its only blanks, such as ( -1, 2), is one
-LABEL token, which the parser turns into curve(p, q) directly.  Each
-value is the one the grammar gives the same text.  Any other text at a
-'(' (a tab or newline, a '/', a malformed power) is left to the grammar
-token by token.  A rendered coefficient with int coefficients is made of
-literals, but one with fractions is not: (2*A)/(4*A^2 + 2)*(1,0)
-renders as ((1/2*A)/(A^2 + 1/2))*(1,0), read through the grammar.  A
-Laurent polynomial divided by one is RationalFunction(n, d): one _monic
-and one _cancel, with no inverse and no product.
+polynomial's coefficient map, with no product or sum per monomial, and
+takes it over 1.  A curve label with spaces as its only blanks, such as
+( -1, 2), is one LABEL token, which the parser turns into curve(p, q)
+directly.  Each value is the one the grammar gives the same text.  Any
+other text at a '(' (a tab or newline, a '/', a malformed power) is left
+to the grammar token by token.  A rendered coefficient with int
+coefficients is made of literals, but one with fractions is not:
+(2*A)/(4*A^2 + 2)*(1,0) renders as ((1/2*A)/(A^2 + 1/2))*(1,0), read
+through the grammar.
 
 Nesting through '(' and unary minus is bounded by MAX_DEPTH, so a deep
 input ends in an ExpressionError rather than a RecursionError.  A
@@ -66,9 +64,9 @@ from .torus2 import EMPTY, SkeinT2Element
 # below the interpreter's recursion limit.
 MAX_DEPTH = 100
 
-# A parsed subexpression: a Laurent polynomial until it meets a '/' or a Q(A)
-# value, a Q(A) scalar until it meets a curve label, an element from then on.
-Value = LaurentPoly | RationalFunction | SkeinT2Element
+# A parsed subexpression: a Q(A) scalar until it meets a curve label, an
+# element from then on.
+Value = RationalFunction | SkeinT2Element
 
 Token = tuple[str, str, int, int]  # (kind, text, line, col)
 
@@ -139,9 +137,9 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def _literal(text: str) -> LaurentPoly:
-    # The Laurent polynomial a POLY token spells, summed term by term: each
-    # signed monomial c, [c*]A or [c*]A^e after splitting the body at '+'.
+def _literal(text: str) -> RationalFunction:
+    # The Laurent polynomial a POLY token spells, over 1, summed term by term:
+    # each signed monomial c, [c*]A or [c*]A^e after splitting the body at '+'.
     acc: dict[int, int] = {}
     get = acc.get
     body = text[1:-1].replace(" ", "").replace("-", "+-").replace("^+-", "^-")
@@ -155,7 +153,7 @@ def _literal(text: str) -> LaurentPoly:
         else:
             e, c = 0, int(c)
         acc[e] = get(e, 0) + c
-    return LaurentPoly._raw({e: c for e, c in acc.items() if c})
+    return RationalFunction(LaurentPoly._raw({e: c for e, c in acc.items() if c}))
 
 
 class _Parser:
@@ -207,8 +205,6 @@ class _Parser:
             minus = kind == "MINUS"
             rhs = self.term()
             if acc is None and SkeinT2Element not in (type(value), type(rhs)):
-                if type(value) is not type(rhs):
-                    value, rhs = _scalar(value), _scalar(rhs)
                 value = value - rhs if minus else value + rhs
                 continue
             if acc is None:
@@ -229,24 +225,22 @@ class _Parser:
                 value = value * rhs
             elif type(rhs) is SkeinT2Element:
                 value = _scaled(rhs, value)
-            elif type(value) is SkeinT2Element:
-                value = _scaled(value, rhs)
             else:
-                value = _scalar(value) * _scalar(rhs)
+                value = _scaled(value, rhs)
         return value
 
-    def _divide(self, value: Value, divisor: Value, op: Token) -> Value:
-        c = divisor
-        if type(divisor) is SkeinT2Element:
-            if divisor.support() - {EMPTY}:
+    def _divide(self, value: Value, c: Value, op: Token) -> Value:
+        if type(c) is SkeinT2Element:
+            if c.support() - {EMPTY}:
                 self.fail(op, "divisor must be a scalar")
-            c = divisor.coeff(EMPTY)
+            c = c.coeff(EMPTY)
         if c.is_zero():
             self.fail(op, "division by zero")
-        if type(value) is LaurentPoly and type(c) is LaurentPoly:
-            return RationalFunction(value, c)  # one _monic and one _cancel
-        inv = _scalar(c).inverse()
-        return value.scale(inv) if type(value) is SkeinT2Element else _scalar(value) * inv
+        if type(value) is SkeinT2Element:
+            return value.scale(c.inverse())
+        if value.den.is_one() and c.den.is_one():
+            return RationalFunction(value.num, c.num)  # one _monic and one _cancel
+        return value * c.inverse()
 
     def factor(self) -> Value:
         tok = self.tokens[self.pos]
@@ -274,7 +268,7 @@ class _Parser:
             return SkeinT2Element.curve(int(p), int(q))
         if kind == "INT":
             self.pos += 1
-            return LaurentPoly.constant(int(text))
+            return RationalFunction.from_int(int(text))
         if kind == "NAME":
             self.pos += 1
             if text == "A":
@@ -282,9 +276,9 @@ class _Parser:
                 if self.peek()[0] == "CARET":
                     self.advance()
                     exp = self._signed_int("an integer exponent")
-                return a_pow(exp).num
+                return a_pow(exp)
             if text == "empty":
-                return LaurentPoly.one()
+                return RationalFunction.one()
             self.fail(tok, f"unknown name {text!r}")
         if kind == "POLY":
             # As deep as the grammar would nest it: one level for the '(' and
@@ -322,20 +316,14 @@ def _shown(tok: Token) -> str:
     return "(" if kind == "POLY" or kind == "LABEL" else text or "end of input"
 
 
-def _scalar(value: LaurentPoly | RationalFunction) -> RationalFunction:
-    # A polynomial as the Q(A) value over 1; Q(A) values pass through.
-    return RationalFunction(value) if type(value) is LaurentPoly else value
-
-
 def _element(value: Value) -> SkeinT2Element:
     # A scalar value as a multiple of the empty link; elements pass through.
-    return value if type(value) is SkeinT2Element else SkeinT2Element.scalar(_scalar(value))
+    return value if type(value) is SkeinT2Element else SkeinT2Element.scalar(value)
 
 
-def _scaled(element: SkeinT2Element, coeff: LaurentPoly | RationalFunction) -> SkeinT2Element:
+def _scaled(element: SkeinT2Element, coeff: RationalFunction) -> SkeinT2Element:
     # coeff * element; a bare label, one term with coefficient 1, takes coeff
     # itself as its coefficient.
-    coeff = _scalar(coeff)
     if len(element.terms) == 1:
         ((label, c),) = element.terms.items()
         if c.is_one():

@@ -204,15 +204,7 @@ class LaurentPoly:
         return LaurentPoly._raw(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e not in out:
-                out[e] = -c
-            elif s := out[e] - c:
-                out[e] = _norm(s)
-            else:
-                del out[e]
-        return LaurentPoly._raw(out)
+        return self + -other
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         # A one-term operand c * A^k shifts the other by k, scaled when c != 1;

@@ -249,6 +249,9 @@ def replay_certificate(cert: Reduction3Certificate) -> None:
     input's parity vector.  ValueError comes only from building records:
     Curve3 refuses a triple that is not coprime or not sign-canonical, and
     StandardEmbedding a determinant other than 1 or an entry not an int.
+    Only each matrix's selected columns and determinant are read, and
+    curves compare up to sign: an unselected entry or a pair's sign is no
+    part of the claim, and a byte comparison must not tell them apart.
     """
     cur = cert.source
     for k, step in enumerate(cert.steps):

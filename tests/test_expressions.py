@@ -454,3 +454,43 @@ def test_polynomial_quotient_matches_product_by_the_inverse():
     with pytest.raises(ExpressionError) as err:
         parse_element("(A + 1)/(0)")
     assert str(err.value) == "line 1, column 8: division by zero (near '/')"
+
+
+def _poly(terms):
+    # A Laurent polynomial as the Q(A) value over 1.
+    return RationalFunction(LaurentPoly(terms))
+
+
+_A_PLUS_1, _A_MINUS_1 = _poly({1: 1, 0: 1}), _poly({1: 1, 0: -1})
+_A2_MINUS_1 = _poly({2: 1, 0: -1})
+
+# (text, x, y): the text parses to x / y, read as x * y.inverse().
+_QUOTIENTS = [
+    ("(A^2 - 1)/(A - 1)", _A2_MINUS_1, _A_MINUS_1),  # over 1 / over 1
+    ("A/((1)/(A + 1))", a_pow(1), _A_PLUS_1.inverse()),  # over 1 / not over 1
+    ("((1)/(A + 1))/(A - 1)", _A_PLUS_1.inverse(), _A_MINUS_1),  # not over 1 / over 1
+    (
+        "((A)/(A + 1))/((A - 1)/(A^2 + 1))",
+        a_pow(1) * _A_PLUS_1.inverse(),
+        _A_MINUS_1 * _poly({2: 1, 0: 1}).inverse(),
+    ),  # not over 1 / not over 1
+    ("(A^2 - 1)/(A - 1)/(A + 1)", _A2_MINUS_1 * _A_MINUS_1.inverse(), _A_PLUS_1),
+    ("(A^2\t- 1)/(A - 1)", _A2_MINUS_1, _A_MINUS_1),  # a tab: the grammar path
+    ("(1,0)/((A)/(A + 1))", curve(1, 0), a_pow(1) * _A_PLUS_1.inverse()),
+]
+
+
+def test_every_quotient_is_the_product_by_the_inverse(monkeypatch):
+    assert parse_scalar("A/((1)/(A + 1))") == _poly({2: 1, 1: 1})
+    for text, x, y in _QUOTIENTS:
+        if type(x) is SkeinT2Element:
+            assert parse_element(text) == x.scale(y.inverse()), text
+        else:
+            assert parse_scalar(text) == x * y.inverse(), text
+    products = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+    parse_scalar("(A^2 - 1)/(A - 1)/(A + 1)")  # two quotients over 1, no product
+    assert len(products) == 0
+    parse_scalar("2*A/(A + 1)")  # 2 * A is the one product
+    assert len(products) == 1
