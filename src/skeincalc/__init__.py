@@ -13,14 +13,13 @@ from importlib import import_module
 
 # Home module of each re-exported name.
 _HOMES = {
-    "abelianize": "AbCertificate AbElement CertStep CLASSES certificate closure_check"
-    " reduce_element reduce_label verify_certificate",
+    "abelianize": "AbElement CLASSES closure_check reduce_element",
     "errors": "ExpressionError VerificationError",
     "expressions": "parse_element parse_scalar",
+    "labels": "AbCertificate CertStep canonical_pair certificate reduce_label verify_certificate",
     "quantum_torus": "QTorusElement embed_curve embed_element",
     "ratfunc": "LaurentPoly RationalFunction a_pow",
-    "torus2": "EMPTY SkeinT2Element canonical_pair chebyshev_t commutator curve"
-    " framing_twist scalar t_to_jw",
+    "torus2": "EMPTY SkeinT2Element chebyshev_t commutator curve framing_twist scalar t_to_jw",
     "torus3": "Curve3 Generator Reduction3Certificate ReductionStep StandardEmbedding"
     " common_curve extended_gcd find_diffeo generators grade_decompose reduce_curve"
     " replay_certificate",

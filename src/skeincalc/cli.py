@@ -72,9 +72,9 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_certify_ab(args) -> int:
-    from . import abelianize
-    cert = abelianize.certificate(args.p, args.q)
-    abelianize.verify_certificate(cert)
+    from . import labels
+    cert = labels.certificate(args.p, args.q)
+    labels.verify_certificate(cert)
     if args.json:
         _print_json(cert.to_json_dict())
     else:
@@ -99,8 +99,7 @@ def cmd_reduce_t3(args) -> int:
         print(f"canonical: {canonical}")
         print(f"steps: {len(cert.steps)}")
         for s in cert.steps:
-            print(f"  matrix {list(map(list, s.embedding.matrix))} columns {s.embedding.columns}"
-                  f" {s.from_pair} -> {s.to_pair}")
+            print(f"  u {s.u} v {s.v} {s.from_pair} -> {s.to_pair}")
         print("certificate verified")
     return 0
 

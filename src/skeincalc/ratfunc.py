@@ -525,8 +525,8 @@ _RF_ONE = RationalFunction(_LP_ONE)
 
 
 # Products and framing twists scale by powers of A with RationalFunction.shift
-# and never call this; parsed powers A^k and certificate scales do, and the
-# bound keeps a long run on parsed exponents from growing without limit.
+# and never call this; parsed powers A^k do, and the bound keeps a long run
+# on parsed exponents from growing without limit.
 @lru_cache(maxsize=4096)
 def a_pow(k: int) -> RationalFunction:
     """The monomial A^k as a rational function (values are shared, immutable)."""

@@ -22,18 +22,10 @@ from __future__ import annotations
 import math
 
 from .combination import Combination
+from .labels import canonical_pair
 from .ratfunc import RationalFunction
 
 EMPTY: tuple = ()
-
-
-def canonical_pair(p: int, q: int) -> tuple[int, int]:
-    """Pick the canonical representative of {(p,q), (-p,-q)}; (0,0) is rejected."""
-    if p == 0 and q == 0:
-        raise ValueError("(0,0) is not a curve label")
-    if p > 0 or (p == 0 and q > 0):
-        return (p, q)
-    return (-p, -q)
 
 
 class SkeinT2Element(Combination):

@@ -2,23 +2,22 @@
 
 A (p,q,r)-curve is a coprime integer triple, sign-normalised so its first
 nonzero coordinate is positive (a curve and its reverse coincide).  A
-standard torus inside the 3-torus is recorded as a determinant-1 integer
-matrix together with the ordered pair of column indices spanning its
-plane; pushing a coprime pair (a,b) through an embedding forms the
-integer combination of the two selected columns.
+standard torus inside the 3-torus is spanned by two integer columns u
+and v that some third column completes to a determinant-1 matrix; that
+third column exists exactly when the entries of u x v have gcd 1, since
+det(u, v, w) = (u x v) . w; StandardEmbedding records such a matrix
+and the indices of u and v.  A coprime pair (a,b) pushes to a*u + b*v.
 
 reduce_curve() rewrites any curve c onto its parity vector e, the curve
 of {0,1}-coordinates congruent to c mod 2, with a replayable certificate
 of at most one step, _step(c, e) when c != e.  Let n be the primitive
-cross product of c and e and M = find_diffeo(n), so M*n = (1,0,0).  M is
-unimodular, so rows 2 and 3 of M are a basis of the saturated plane
-L = n^perp in Z^3; the step's embedding is the transpose of M with
-columns (2, 3), and its from_pair and to_pair are the coordinates of c
-and e in that basis, the dot products with columns 2 and 3 of the basis
-B = M^-1 that find_diffeo builds, so no adjugate of the embedding is
-taken.  Both c and e lie in L, and c - e lies in 2Z^3 and in L, so in 2L
-because L is saturated: the two pairs agree mod 2.  Both are coprime
-because c and e are primitive.  Every step's matrix has determinant +1.
+cross product of c and e and M = find_diffeo(n) = adj(B), B the
+unimodular basis whose first column is n.  Rows 2 and 3 of M, the
+step's columns u and v, are a basis of the saturated plane L = n^perp
+in Z^3.  Its pairs are the coordinates of c and e in that basis, their
+dot products with columns 2 and 3 of B.  Both c and e lie in L, and
+c - e lies in 2Z^3 and in L, so in 2L because L is saturated: the pairs
+agree mod 2.  Both are coprime because c and e are primitive.
 """
 
 from __future__ import annotations
@@ -75,7 +74,11 @@ def primitive_cross(u: Vec3, v: Vec3) -> Curve3 | None:
 
 def _first_nonzero(p: int, q: int, r: int) -> int:
     # The first nonzero entry of a coprime triple; any other triple is refused.
-    if math.gcd(p, q, r) != 1:
+    try:
+        g = math.gcd(p, q, r)
+    except TypeError:  # a float or str entry
+        raise ValueError(f"({p},{q},{r}) must be three ints") from None
+    if g != 1:
         raise ValueError(f"({p},{q},{r}) is not coprime")
     return p or q or r
 
@@ -125,8 +128,12 @@ class StandardEmbedding(Record):
     __slots__ = ("matrix", "columns")
 
     def __init__(self, matrix, columns: tuple[int, int]):
-        if len(matrix) != 3 or any(type(row) not in (list, tuple) or len(row) != 3 for row in matrix):
+        if type(matrix) not in (list, tuple) or len(matrix) != 3 or any(
+            type(row) not in (list, tuple) or len(row) != 3 for row in matrix
+        ):
             raise ValueError("matrix must be 3x3")
+        if type(columns) not in (list, tuple):
+            raise ValueError("columns must be two distinct 1-based indices")
         m = tuple(map(tuple, matrix))
         for x in (*m[0], *m[1], *m[2], *columns):
             if type(x) is not int:  # a float, str or bool is refused, never rounded
@@ -151,13 +158,17 @@ class StandardEmbedding(Record):
 
     def push(self, a: int, b: int) -> Curve3:
         """Image of the coprime pair (a,b): a*(first column) + b*(second column)."""
-        if math.gcd(a, b) != 1:
-            raise ValueError(f"({a},{b}) must be coprime")
-        u, v = self.selected()
-        return Curve3.of(a * u[0] + b * v[0], a * u[1] + b * v[1], a * u[2] + b * v[2])
+        return _push(*self.selected(), a, b)
 
     def __repr__(self) -> str:
         return f"StandardEmbedding({list(map(list, self.matrix))}, columns={self.columns})"
+
+
+def _push(u: Vec3, v: Vec3, a: int, b: int) -> Curve3:
+    # The curve a*u + b*v of the torus spanned by u and v.
+    if math.gcd(a, b) != 1:
+        raise ValueError(f"({a},{b}) must be coprime")
+    return Curve3.of(a * u[0] + b * v[0], a * u[1] + b * v[1], a * u[2] + b * v[2])
 
 
 def extended_gcd(p: int, q: int) -> tuple[int, int, int]:
@@ -177,7 +188,9 @@ def extended_gcd(p: int, q: int) -> tuple[int, int, int]:
 
 
 class ReductionStep(Record):
-    __slots__ = ("embedding", "from_pair", "to_pair")
+    """One rewrite from_pair -> to_pair inside the torus spanned by the columns u and v."""
+
+    __slots__ = ("u", "v", "from_pair", "to_pair")
 
 
 class Reduction3Certificate(Record):
@@ -187,31 +200,18 @@ class Reduction3Certificate(Record):
         return {
             "input": list(self.source.coords),
             "canonical": list(self.canonical.coords),
-            "steps": [
-                {
-                    "matrix": [list(row) for row in s.embedding.matrix],
-                    "columns": list(s.embedding.columns),
-                    "from_pair": list(s.from_pair),
-                    "to_pair": list(s.to_pair),
-                }
-                for s in self.steps
-            ],
+            "steps": [{key: list(getattr(s, key)) for key in s.__slots__} for s in self.steps],
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Reduction3Certificate":
         kinds = {"input": object, "canonical": object, "steps": list}
         source, canonical, steps = json_fields(doc, "certificate", kinds)
-        step_kinds = {"matrix": list, "columns": list, "from_pair": object, "to_pair": object}
+        keys = ReductionStep.__slots__  # a step's JSON keys are its fields
+        step_kinds = dict.fromkeys(keys, object)
         steps = tuple(
-            ReductionStep(
-                StandardEmbedding(matrix, tuple(columns)),
-                int_tuple(from_pair, 2, "from_pair"),
-                int_tuple(to_pair, 2, "to_pair"),
-            )
-            for matrix, columns, from_pair, to_pair in (
-                json_fields(s, "step", step_kinds) for s in steps
-            )
+            ReductionStep(*map(int_tuple, json_fields(s, "step", step_kinds), (3, 3, 2, 2), keys))
+            for s in steps
         )
         return cls(
             Curve3(*int_tuple(source, 3, "input")),
@@ -223,9 +223,9 @@ class Reduction3Certificate(Record):
 def _step(c: Vec3, d: Vec3) -> ReductionStep:
     # Rewrite c onto d, with equal parities, in the torus through both (module docstring).
     basis = _basis(primitive_cross(c, d))
-    emb = StandardEmbedding(tuple(zip(*mat_adjugate(basis))), (2, 3))
-    _, u, v = zip(*basis)
-    return ReductionStep(emb, (dot(u, c), dot(v, c)), (dot(u, d), dot(v, d)))
+    _, u, v = mat_adjugate(basis)
+    _, b2, b3 = zip(*basis)
+    return ReductionStep(u, v, (dot(b2, c), dot(b3, c)), (dot(b2, d), dot(b3, d)))
 
 
 def reduce_curve(c: Curve3) -> tuple[Curve3, Reduction3Certificate]:
@@ -243,23 +243,25 @@ def reduce_curve(c: Curve3) -> tuple[Curve3, Reduction3Certificate]:
 def replay_certificate(cert: Reduction3Certificate) -> None:
     """Re-execute every step of a reduction certificate; raise VerificationError on any defect.
 
-    A step's pairs must agree mod 2, so the curves they push to do too,
-    and be coprime; from_pair must push to the current curve and to_pair
-    gives the next.  The chain must end on the canonical curve, the
-    input's parity vector.  ValueError comes only from building records:
-    Curve3 refuses a triple that is not coprime or not sign-canonical, and
-    StandardEmbedding a determinant other than 1 or an entry not an int.
-    Only each matrix's selected columns and determinant are read, and
-    curves compare up to sign: an unselected entry or a pair's sign is no
-    part of the claim, and a byte comparison must not tell them apart.
+    A step's columns u and v must span a standard torus (the entries of
+    u x v have gcd 1).  Its pairs must agree mod 2, so the curves they
+    push to do too, and be coprime; from_pair must push to the current
+    curve and to_pair gives the next.  The chain must end on the canonical
+    curve, the input's parity vector.  ValueError comes only from building
+    records: Curve3 refuses a triple that is not coprime or not
+    sign-canonical.  Curves compare up to sign, so a pair's sign is no
+    part of the claim, and a byte comparison must not tell two such
+    documents apart.
     """
     cur = cert.source
     for k, step in enumerate(cert.steps):
-        (a, b), (x, y) = step.from_pair, step.to_pair
+        u, v, (a, b), (x, y) = step.u, step.v, step.from_pair, step.to_pair
+        if math.gcd(*cross(u, v)) != 1:
+            raise VerificationError(f"step {k}: columns {u} and {v} span no standard torus")
         if (a - x) % 2 or (b - y) % 2:
             raise VerificationError(f"step {k}: pairs {(a, b)} and {(x, y)} differ mod 2")
         try:
-            pushed, nxt = step.embedding.push(a, b), step.embedding.push(x, y)
+            pushed, nxt = _push(u, v, a, b), _push(u, v, x, y)
         except ValueError as exc:
             raise VerificationError(f"step {k}: {exc}") from None
         if pushed != cur:

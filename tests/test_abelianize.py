@@ -3,21 +3,10 @@ import random
 
 import pytest
 
-from skeincalc.abelianize import (
-    AbCertificate,
-    AbElement,
-    CLASSES,
-    CertStep,
-    _step,
-    certificate,
-    closure_check,
-    reduce_element,
-    reduce_label,
-    verify_certificate,
-)
+from skeincalc.abelianize import AbElement, CLASSES, closure_check, reduce_element, reduce_label
 from skeincalc.checks import certificate_sweep
 from skeincalc.errors import VerificationError
-from skeincalc.expressions import parse_scalar
+from skeincalc.labels import AbCertificate, CertStep, _step, certificate, verify_certificate
 from skeincalc.ratfunc import RationalFunction, a_pow
 from skeincalc.torus2 import EMPTY, canonical_pair, commutator, curve, scalar
 
@@ -100,9 +89,10 @@ def test_certificate_box_sweep():
 
 
 def test_step_expansion_matches_the_curve_product():
-    # The closed form against the product it replaces, which stays the
-    # reference here; c runs over both signs of every label in the box.
-    rational = parse_scalar("(2/3*A - 1)/(A^2 + 1)")
+    # The closed form [c, m] = (A^d - A^-d) (L(c+m) - L(c-m)) that replay
+    # relies on, against the curve product, which stays the reference here;
+    # c runs over both signs of every label in the box.  The step from
+    # m + c to m - c with conjugator c then holds with its derived scale.
     cases = 0
     for c in BOX3:
         for m in BOX3:
@@ -111,10 +101,58 @@ def test_step_expansion_matches_the_curve_product():
                 continue
             product = commutator(curve(*c), curve(*m))
             frm, to = (m[0] + c[0], m[1] + c[1]), (m[0] - c[0], m[1] - c[1])
-            for s in (ONE, RationalFunction.zero(), rational, (a_pow(d) - a_pow(-d)).inverse()):
-                assert CertStep(frm, to, c, s).expansion() == product.scale(s), (c, m, s)
-                cases += 1
-    assert cases == 4 * 2112
+            step = CertStep(frm, to, c)
+            plus, minus, k = step._labels()
+            assert k == d
+            assert product == (curve(*plus) - curve(*minus)).scale(a_pow(d) - a_pow(-d)), (c, m)
+            assert product.scale(step.scale) == curve(*frm) - curve(*to), (c, m)
+            cases += 1
+    assert cases == 2112
+
+
+def test_derived_scale_is_the_inverse_of_a_d_minus_a_minus_d():
+    # The closed form sign(D) A^|D| / (A^2|D| - 1) against the inverse it
+    # replaces, for both orientations of the step from (1,d) to (-1,d)
+    # with conjugator (1,0), midpoint (0,d) and det(c, m) = d.
+    for d in [*range(-64, 0), *range(1, 65)]:
+        forward, backward = CertStep((1, d), (-1, d), (1, 0)), CertStep((-1, d), (1, d), (1, 0))
+        for step, want in ((forward, a_pow(d) - a_pow(-d)), (backward, a_pow(-d) - a_pow(d))):
+            scale = step.scale
+            assert scale == want.inverse() and str(scale) == str(want.inverse()), (d, step)
+            assert RationalFunction(scale.num, scale.den) == scale  # canonical as built
+
+
+def test_every_derived_scale_of_box_8_makes_its_step_hold():
+    # The element comparison replay no longer makes, over every certificate
+    # that certificate_sweep(8) replays: scale * [c, m] == from - to.
+    assert certificate_sweep(8) == (288, None)
+    steps = 0
+    for p in range(-8, 9):
+        for q in range(-8, 9):
+            if (p, q) == (0, 0):
+                continue
+            for step in certificate(p, q).steps:
+                f, t, c = step.from_pair, step.to_pair, step.conjugator
+                m = ((f[0] + t[0]) // 2, (f[1] + t[1]) // 2)
+                assert commutator(curve(*c), curve(*m)).scale(step.scale) == curve(*f) - curve(*t)
+                steps += 1
+    assert steps == 304
+
+
+def test_certificate_holds_only_ints():
+    def leaves(x):
+        if isinstance(x, (list, dict)):
+            for y in x.values() if isinstance(x, dict) else x:
+                yield from leaves(y)
+        else:
+            yield x
+
+    for label in BOX4 + [(10**9 + 1, 1), (10**12, 0)]:
+        doc = certificate(*label).to_json_dict()
+        assert all(type(x) is int for x in leaves(doc)), doc
+    for p, q in ((3.0, 1), (3, 1.0), (True, 1), ("3", 1), (2.5, 1)):
+        with pytest.raises(ValueError, match="label must be 2 ints"):
+            certificate(p, q)
 
 
 def test_certificate_verifier_rejects_tampering():
@@ -122,26 +160,27 @@ def test_certificate_verifier_rejects_tampering():
     bad = AbCertificate(cert.source, cert.canonical, cert.steps[:-1])
     with pytest.raises(VerificationError):
         verify_certificate(bad)
-    # Negating the scale of any one step of any chain breaks it.
+    # Moving the conjugator of any one step of any chain off +-v breaks it.
     for label in BOX4:
         cert = certificate(*label)
         for i, step in enumerate(cert.steps):
-            negated = CertStep(step.from_pair, step.to_pair, step.conjugator, -step.scale)
-            steps = cert.steps[:i] + (negated,) + cert.steps[i + 1 :]
+            c = step.conjugator
+            moved = CertStep(step.from_pair, step.to_pair, (c[0] + 1, c[1]))
+            steps = cert.steps[:i] + (moved,) + cert.steps[i + 1 :]
             with pytest.raises(VerificationError):
                 verify_certificate(AbCertificate(cert.source, cert.canonical, steps))
     cert = certificate(4, 0)
     assert len(cert.steps) == 2
     first, second = cert.steps
-    x, y, v, s = first.from_pair, first.to_pair, first.conjugator, first.scale
+    x, y, v = first.from_pair, first.to_pair, first.conjugator
     for steps in (
-        (CertStep(x, y, (1, 1), s), second),  # (1, 1) is not +-v
-        (CertStep(x, (y[0], -y[1]), v, s), second),
+        (CertStep(x, y, (1, 1)), second),  # (1, 1) is not +-v
+        (CertStep(x, (y[0], -y[1]), v), second),
     ):
         with pytest.raises(VerificationError):
             verify_certificate(AbCertificate(cert.source, cert.canonical, steps))
     # curves are unoriented, so the negated conjugator names the same curve
-    flipped = CertStep(x, y, (-v[0], -v[1]), s)
+    flipped = CertStep(x, y, (-v[0], -v[1]))
     verify_certificate(AbCertificate(cert.source, cert.canonical, (flipped, second)))
 
 
@@ -164,7 +203,7 @@ def test_certificate_verifier_refuses_a_zero_last_label():
     for label in ((4, 0), (5, 2)):
         cert = certificate(*label)
         *head, last = cert.steps
-        zero = CertStep(last.from_pair, (0, 0), last.conjugator, last.scale)
+        zero = CertStep(last.from_pair, (0, 0), last.conjugator)
         with pytest.raises(VerificationError):
             verify_certificate(AbCertificate(cert.source, cert.canonical, (*head, zero)))
 
@@ -176,15 +215,19 @@ def test_certificate_sweep_refuses_a_longer_chain(monkeypatch):
         cert = certificate(p, q)
         if not cert.steps:
             return cert
-        # A step from the class to itself, scaled by 0, still verifies.
-        last = cert.steps[-1]
-        idle = CertStep(last.to_pair, last.to_pair, last.conjugator, RationalFunction.zero())
-        return AbCertificate(cert.source, cert.canonical, cert.steps + (idle,))
+        # Out from the class to another label of it and back: two more
+        # steps that each hold, so the chain still verifies.
+        c0, c1 = cert.canonical
+        via = (c0, c1 + 2) if c0 else (2, c1)
+        detour = (_step(cert.canonical, via), _step(via, cert.canonical))
+        return AbCertificate(cert.source, cert.canonical, cert.steps + detour)
 
     assert checks.certificate_sweep(3) == (48, None)
     monkeypatch.setattr(abelianize, "certificate", padded)
     verify_certificate(padded(3, 0))
-    with pytest.raises(VerificationError, match="certified in 3 steps"):
+    verify_certificate(padded(3, 2))
+    # (-3,-3) comes first and is parallel to its class (1,1): 2 + 2 steps.
+    with pytest.raises(VerificationError, match=r"^\(-3, -3\) certified in 4 steps$"):
         checks.certificate_sweep(3)
 
 
@@ -194,7 +237,7 @@ def test_certificate_json_roundtrip():
     assert AbCertificate.from_json_dict(doc) == cert
     assert list(doc) == ["input", "canonical", "steps"]
     if doc["steps"]:
-        assert list(doc["steps"][0]) == ["from", "to", "conjugator", "scale"]
+        assert list(doc["steps"][0]) == ["from", "to", "conjugator"]
 
 
 def test_certificate_json_pairs_must_be_two_ints():
@@ -260,21 +303,24 @@ def test_closure_check_deterministic_representatives():
 
 
 def _reference_verify(cert):
-    # verify_certificate as it was before the step rule: each step compared
-    # as two skein elements.  This is the reference the rule must agree with.
+    # verify_certificate as an element comparison: each step's derived
+    # scale times the commutator, built by the curve product, against
+    # from - to.  A step with no integer midpoint or with d = 0 has no
+    # scale, and a step with from - to == 0 claims nothing: all are refused.
     if cert.source == (0, 0):
         raise VerificationError("(0,0) is not a curve label")
     cur = canonical_pair(*cert.source)
     for step in cert.steps:
-        if step.from_pair != cur:
-            raise VerificationError(f"step starts at {step.from_pair}, chain is at {cur}")
-        expansion = step.expansion()
-        expected = curve(*step.from_pair) - curve(*step.to_pair)
-        if expansion != expected:
-            raise VerificationError(
-                f"step {step.from_pair} -> {step.to_pair}: expansion {expansion} != {expected}"
-            )
-        cur = step.to_pair
+        f, t, c = step.from_pair, step.to_pair, step.conjugator
+        if f != cur:
+            raise VerificationError(f"step starts at {f}, chain is at {cur}")
+        if (f[0] + t[0]) % 2 or (f[1] + t[1]) % 2:
+            raise VerificationError(f"step {f} -> {t} has no integer midpoint")
+        product = commutator(curve(*c), curve((f[0] + t[0]) // 2, (f[1] + t[1]) // 2))
+        expected = curve(*f) - curve(*t)
+        if expected.is_zero() or product.is_zero() or product.scale(step.scale) != expected:
+            raise VerificationError(f"step {f} -> {t}: {product} does not give {expected}")
+        cur = t
     if canonical_pair(*cur) != cert.canonical:
         raise VerificationError(f"chain ends at {cur}, not at {cert.canonical}")
     if cert.canonical != reduce_label(*cert.source):
@@ -282,56 +328,52 @@ def _reference_verify(cert):
 
 
 def _step_mutants(step):
-    # Every single mutation of one step: its scale, conjugator, from or to.
-    f, t, c, s = step.from_pair, step.to_pair, step.conjugator, step.scale
+    # Every single mutation of one step: its conjugator, from or to.  The
+    # conjugator -(from + m) makes L(c+m) == L(from) but not L(c-m) == L(to).
+    f, t, c = step.from_pair, step.to_pair, step.conjugator
     m = ((f[0] + t[0]) // 2, (f[1] + t[1]) // 2)
-    d = c[0] * m[1] - c[1] * m[0]
-    other = (a_pow(-d) - a_pow(d)).inverse()  # the scale of the other orientation
-    for scale in (-s, RationalFunction.zero(), s * a_pow(1), s * RationalFunction.from_int(2), other):
-        yield CertStep(f, t, c, scale)
-    for conj in ((-c[0], -c[1]), (c[0] + 1, c[1]), (c[0], c[1] + 1)):
-        yield CertStep(f, t, conj, s)
+    for conj in ((-c[0], -c[1]), (c[0] + 1, c[1]), (c[0], c[1] + 1), (-f[0] - m[0], -f[1] - m[1])):
+        yield CertStep(f, t, conj)
     for move in ((2, 0), (0, 2)):
-        yield CertStep((f[0] + move[0], f[1] + move[1]), t, c, s)
-        yield CertStep(f, (t[0] + move[0], t[1] + move[1]), c, s)
-    yield CertStep((-f[0], -f[1]), t, c, s)
-    yield CertStep(f, (-t[0], -t[1]), c, s)
-    yield CertStep((0, 0), t, c, s)
-    yield CertStep(f, (0, 0), c, s)
-    yield CertStep(t, f, c, s)
+        yield CertStep((f[0] + move[0], f[1] + move[1]), t, c)
+        yield CertStep(f, (t[0] + move[0], t[1] + move[1]), c)
+    yield CertStep((-f[0], -f[1]), t, c)
+    yield CertStep(f, (-t[0], -t[1]), c)
+    yield CertStep((0, 0), t, c)
+    yield CertStep(f, (0, 0), c)
+    yield CertStep(t, f, c)
 
 
-def _outcome(verify, cert):
+def _verdict(verify, cert):
     try:
         verify(cert)
-    except VerificationError as exc:
-        return str(exc)
-    return None
+    except VerificationError:
+        return "refused"
+    return "accepted"
 
 
 def test_step_rule_agrees_with_the_element_comparison():
     # Each certificate of box 4, also with an idle step from its class to
-    # itself scaled by 0, under every single mutation of one step: the step
-    # rule accepts exactly when the element comparison does, and refuses
-    # with the same message.
-    accepted = refused = 0
+    # itself, under every single mutation of one step: the step rule
+    # accepts exactly when the element comparison does.  Their messages
+    # differ, since the rule builds no element to print.
+    verdicts = {"accepted": 0, "refused": 0}
     for label in BOX4:
         cert = certificate(*label)
         chains = [cert.steps]
         if cert.steps:
             last = cert.steps[-1]
-            idle = CertStep(last.to_pair, last.to_pair, last.conjugator, RationalFunction.zero())
-            chains.append(cert.steps + (idle,))
+            chains.append(cert.steps + (CertStep(last.to_pair, last.to_pair, last.conjugator),))
         for steps in chains:
             for i, step in enumerate(steps):
                 for mutant in _step_mutants(step):
                     tampered = AbCertificate(
                         cert.source, cert.canonical, steps[:i] + (mutant,) + steps[i + 1 :]
                     )
-                    want = _outcome(_reference_verify, tampered)
-                    assert _outcome(verify_certificate, tampered) == want, (tampered, want)
-                    accepted += want is None
-                    refused += want is not None
-    # Both verdicts occur: a negated conjugator names the same commutator
-    # with the labels swapped, and an idle step takes any conjugator.
-    assert (accepted, refused) == (720, 3224)
+                    want = _verdict(_reference_verify, tampered)
+                    assert _verdict(verify_certificate, tampered) == want, (tampered, want)
+                    verdicts[want] += 1
+    # Both verdicts occur.  The 80 accepted mutants are the negated
+    # conjugators, one per step of the box's certificates: each names the
+    # same commutator with the labels swapped.  Every idle chain is refused.
+    assert (verdicts["accepted"], verdicts["refused"]) == (80, 2936)

@@ -56,8 +56,10 @@ def test_certify_ab_json_schema(capsys):
     doc = json.loads(out)
     assert doc["input"] == [3, 1]
     assert doc["canonical"] == [1, 1]
-    assert doc["steps"][0]["conjugator"] == [1, 0]
-    assert doc["steps"][0]["scale"] == "(A)/(A^2 - 1)"
+    # A step holds integers only; the text form prints its derived scale.
+    assert doc["steps"] == [{"from": [3, 1], "to": [1, 1], "conjugator": [1, 0]}]
+    code, out, _ = run(capsys, "certify-ab", "3", "1")
+    assert code == 0 and "conjugator (1, 0)  scale (A)/(A^2 - 1)\n" in out
 
 
 def test_reduce_t3_json(capsys):
@@ -67,8 +69,7 @@ def test_reduce_t3_json(capsys):
     assert doc["input"] == [2, 3, 5]
     assert doc["canonical"] == [0, 1, 1]
     (step,) = doc["steps"]
-    assert len(step["matrix"]) == 3
-    assert set(step) == {"matrix", "columns", "from_pair", "to_pair"}
+    assert step == {"u": [-1, 1, 0], "v": [0, 1, 1], "from_pair": [-2, 5], "to_pair": [0, 1]}
 
 
 def test_reduce_t3_far_curve_is_one_step(capsys):

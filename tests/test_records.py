@@ -4,17 +4,18 @@ import copy
 import importlib
 import json
 import math
+import os
 import pickle
 import random
-from fractions import Fraction
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import skeincalc
 from skeincalc.abelianize import AbCertificate, CertStep, certificate, verify_certificate
 from skeincalc.errors import Record, VerificationError
-from skeincalc.expressions import parse_scalar
-from skeincalc.ratfunc import LaurentPoly
 from skeincalc.torus3 import (
     Curve3,
     Generator,
@@ -61,24 +62,21 @@ RECORDS = {
     "Curve3": (lambda: Curve3(1, 0, 0), "Curve3(p=1, q=0, r=0)"),
     "CertStep": (
         lambda: _ab_certificate().steps[0],
-        "CertStep(from_pair=(3, 1), to_pair=(1, 1), conjugator=(1, 0),"
-        " scale=RationalFunction((A)/(A^2 - 1)))",
+        "CertStep(from_pair=(3, 1), to_pair=(1, 1), conjugator=(1, 0))",
     ),
     "AbCertificate": (
         _ab_certificate,
         "AbCertificate(source=(3, 1), canonical=(1, 1), steps=(CertStep(from_pair=(3, 1),"
-        " to_pair=(1, 1), conjugator=(1, 0), scale=RationalFunction((A)/(A^2 - 1))),))",
+        " to_pair=(1, 1), conjugator=(1, 0)),))",
     ),
     "ReductionStep": (
-        lambda: ReductionStep(_embedding(), (1, 2), (1, 0)),
-        "ReductionStep(embedding=StandardEmbedding([[1, 0, 0], [0, 1, 0], [1, 0, 1]],"
-        " columns=(1, 2)), from_pair=(1, 2), to_pair=(1, 0))",
+        lambda: ReductionStep(*_embedding().selected(), (1, 2), (1, 0)),
+        "ReductionStep(u=(1, 0, 1), v=(0, 1, 0), from_pair=(1, 2), to_pair=(1, 0))",
     ),
     "Reduction3Certificate": (
         _t3_certificate,
         "Reduction3Certificate(source=Curve3(p=1, q=2, r=1), canonical=Curve3(p=1, q=0, r=1),"
-        " steps=(ReductionStep(embedding=StandardEmbedding([[0, 0, 1], [0, 1, 0], [-1, 0, 1]],"
-        " columns=(2, 3)), from_pair=(2, 1), to_pair=(0, 1)),))",
+        " steps=(ReductionStep(u=(0, 1, 0), v=(1, 0, 1), from_pair=(2, 1), to_pair=(0, 1)),))",
     ),
     "Generator": (lambda: generators()[1], "Generator(kind='curve', curve=Curve3(p=1, q=0, r=0))"),
     "StandardEmbedding": (
@@ -125,6 +123,40 @@ def test_record_copies_and_pickles(name):
     assert pickle.loads(pickle.dumps(a)) == a
 
 
+# Loads and replays a valid certificate of each kind, and a tampered
+# commutator certificate, from JSON on stdin; prints the package modules.
+_REPLAY_ONLY = """
+import json, sys
+from skeincalc.errors import VerificationError
+from skeincalc.labels import AbCertificate, verify_certificate
+from skeincalc.torus3 import Reduction3Certificate, replay_certificate
+ab, t3 = (json.loads(line) for line in sys.stdin)
+verify_certificate(AbCertificate.from_json_dict(ab))
+replay_certificate(Reduction3Certificate.from_json_dict(t3))
+ab["steps"][0]["conjugator"][0] += 1
+try:
+    verify_certificate(AbCertificate.from_json_dict(ab))
+except VerificationError:
+    print(*sorted(m for m in sys.modules if m.startswith("skeincalc")))
+"""
+
+
+def test_certificates_load_and_replay_without_the_algebra():
+    # Both kinds hold integers only, so neither Q(A) nor the parser loads.
+    docs = [certificate(4, 0).to_json_dict(), reduce_curve(Curve3.of(2, 3, 5))[1].to_json_dict()]
+    done = subprocess.run(
+        [sys.executable, "-c", _REPLAY_ONLY],
+        input="\n".join(map(json.dumps, docs)),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(skeincalc.__file__).resolve().parents[1])},
+        timeout=60,
+    )
+    assert done.stderr == ""
+    loaded = done.stdout.split()
+    assert loaded == ["skeincalc", "skeincalc.errors", "skeincalc.labels", "skeincalc.torus3"]
+
+
 def test_certificates_are_hashable_values():
     ab, t3 = _ab_certificate(), _t3_certificate()
     assert {ab, _ab_certificate()} == {ab}
@@ -138,21 +170,21 @@ def test_certificates_are_hashable_values():
 MALFORMED = [
     ("ab", (), [5, 2], "certificate must be a JSON object"),
     ("ab", ("input",), None, "certificate has no 'input'"),
-    ("ab", ("steps", 0, "scale"), None, "step has no 'scale'"),
+    ("ab", ("steps", 0, "conjugator"), None, "step has no 'conjugator'"),
     ("ab", ("steps",), {}, "steps must be a list"),
     ("ab", ("steps",), "", "steps must be a list"),
     ("ab", ("steps", 0), 1, "step must be a JSON object"),
-    ("ab", ("steps", 0, "scale"), 5, "scale must be a str"),
+    ("ab", ("steps", 0, "conjugator"), 5, "conjugator must be 2 ints"),
     ("t3", (), "certificate", "certificate must be a JSON object"),
     ("t3", ("canonical",), None, "certificate has no 'canonical'"),
-    ("t3", ("steps", 0, "matrix"), None, "step has no 'matrix'"),
+    ("t3", ("steps", 0, "u"), None, "step has no 'u'"),
     ("t3", ("steps",), 7, "steps must be a list"),
     ("t3", ("steps", 0), [1], "step must be a JSON object"),
-    ("t3", ("steps", 0, "matrix"), 5, "matrix must be a list"),
-    ("t3", ("steps", 0, "matrix"), [1, 0, 0], "matrix must be 3x3"),
-    ("t3", ("steps", 0, "matrix", 2), 5, "matrix must be 3x3"),
-    ("t3", ("steps", 0, "matrix", 2), [0, 1], "matrix must be 3x3"),
-    ("t3", ("steps", 0, "columns"), 2, "columns must be a list"),
+    ("t3", ("steps", 0, "u"), 5, "u must be 3 ints"),
+    ("t3", ("steps", 0, "u"), [1, 0], "u must be 3 ints"),
+    ("t3", ("steps", 0, "v", 2), 1.5, "v must be 3 ints"),
+    ("t3", ("steps", 0, "v"), [[0, 1], 0, 1], "v must be 3 ints"),
+    ("t3", ("steps", 0, "v"), "2", "v must be 3 ints"),
 ]
 
 
@@ -182,11 +214,11 @@ def test_malformed_certificate_json_is_a_value_error(kind, path, value, message)
 
 def test_record_defaults_and_arity():
     with pytest.raises(TypeError):
-        ReductionStep(_embedding(), (1, 2), (1, 0), (0, 1, 2))
+        ReductionStep((1, 0, 1), (0, 1, 0), (1, 2), (1, 0), (0, 1))
     assert Generator("alpha").curve is None
     assert Generator(kind="curve", curve=Curve3(1, 1, 1)).curve == Curve3(1, 1, 1)
     with pytest.raises(TypeError):
-        CertStep((3, 1), (1, 1), (1, 0))
+        CertStep((3, 1), (1, 1), (1, 0), (1, 1))
     with pytest.raises(TypeError):
         AbCertificate((3, 1), (1, 1), (), ())
 
@@ -243,8 +275,8 @@ def test_unknown_attribute_is_an_attribute_error():
 
 # The mutations of each certificate kind's JSON, and the keys of its pairs.
 MUTATIONS = {
-    "ab": (("scale", "conjugator", "pair", "drop", "repeat", "delete"), ("from", "to")),
-    "t3": (("matrix", "pair", "drop", "repeat", "delete"), ("from_pair", "to_pair")),
+    "ab": (("conjugator", "pair", "drop", "repeat", "delete"), ("from", "to")),
+    "t3": (("column", "pair", "drop", "repeat", "delete"), ("from_pair", "to_pair")),
 }
 
 
@@ -265,26 +297,19 @@ def _mutate(doc, kind, rng):
     elif name == "repeat":
         i = rng.randrange(len(steps))
         steps.insert(i, copy.deepcopy(steps[i]))
-    elif name == "scale":
-        step = rng.choice(steps)
-        scale = parse_scalar(step["scale"])
-        num, den = dict(scale.num.terms), dict(scale.den.terms)
-        poly = rng.choice((num, den))
-        poly[rng.choice(list(poly))] += rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
-        step["scale"] = f"({LaurentPoly(num)})/({LaurentPoly(den)})"
     else:
-        if name == "matrix":
-            holder, key = rng.choice(rng.choice(steps)["matrix"]), rng.randrange(3)
+        if name == "column":
+            holder, key = rng.choice(steps)[rng.choice(("u", "v"))], rng.randrange(3)
         elif name == "conjugator":
             holder, key = rng.choice(steps), "conjugator"
         elif steps:
             holder, key = rng.choice(steps), rng.choice(pair_keys)
         else:
             holder, key = doc, "input"
-        if name != "matrix" and bad is not None and rng.random() < 0.5:
+        if name != "column" and bad is not None and rng.random() < 0.5:
             holder[key] = bad  # the whole pair
         else:
-            if name != "matrix":
+            if name != "column":
                 holder, key = holder[key], rng.randrange(len(holder[key]))
             holder[key] = bad if bad is not None else holder[key] + rng.choice((-2, -1, 1, 2))
     return name
@@ -296,7 +321,8 @@ def test_every_json_mutation_is_malformed_or_tampered(kind):
     # loader (ValueError) or by the replay (VerificationError), never with a
     # KeyError, TypeError or AttributeError.  Only a mutation that left the
     # certificate as it was, or a 3-torus certificate's claim (_claim) as
-    # it was, may pass.
+    # it was, may pass.  A commutator step holds no scale to mutate, and a
+    # 3-torus step no unselected column.
     rng = random.Random(57)
     outcomes = {}
     for _ in range(600):
@@ -329,11 +355,10 @@ def test_every_json_mutation_is_malformed_or_tampered(kind):
 
 
 def _claim(cert):
-    # What a 3-torus certificate claims.  A step reads only the selected
-    # columns of its matrix, the third being free but for the determinant,
-    # and a pair and its negative name the same curve.
+    # What a 3-torus certificate claims: a pair and its negative name the
+    # same curve.
     def curve(pair):
         return max(pair, tuple(-x for x in pair))
 
-    steps = [(s.embedding.selected(), curve(s.from_pair), curve(s.to_pair)) for s in cert.steps]
+    steps = [(s.u, s.v, curve(s.from_pair), curve(s.to_pair)) for s in cert.steps]
     return cert.source, cert.canonical, steps

@@ -12,6 +12,7 @@ from skeincalc.torus3 import (
     StandardEmbedding,
     _step,
     common_curve,
+    cross,
     extended_gcd,
     find_diffeo,
     generators,
@@ -59,10 +60,10 @@ def test_reduce_step_worked_example():
     # (2,3,5) x (0,1,1) = (-2,-2,2), so n = (1,1,-1) and M*n = (1,0,0).
     _, cert = reduce_curve(Curve3.of(2, 3, 5))
     (step,) = cert.steps
-    assert step == ReductionStep(
-        StandardEmbedding(((0, -1, 0), (0, 1, 1), (-1, 0, 1)), (2, 3)), (-2, 5), (0, 1)
-    )
-    assert mat_vec(tuple(zip(*step.embedding.matrix)), (1, 1, -1)) == (1, 0, 0)
+    assert step == ReductionStep((-1, 1, 0), (0, 1, 1), (-2, 5), (0, 1))
+    # u and v are rows 2 and 3 of M, and M*n = (1,0,0).
+    m = find_diffeo(Curve3(1, 1, -1))
+    assert m[1:] == (step.u, step.v) and mat_vec(m, (1, 1, -1)) == (1, 0, 0)
 
 
 def test_embedding_rejects_bad_matrices():
@@ -79,14 +80,29 @@ def test_embedding_rejects_bad_matrices():
         StandardEmbedding(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1.0, 2))
 
 
+def test_non_int_entries_are_value_errors():
+    # Never the TypeError that math.gcd, len or unpacking would raise.
+    eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for build, args in (
+        (Curve3, (2.0, 3, 5)),
+        (Curve3.of, (2.0, 3, 5)),
+        (Curve3, (1, "0", 0)),
+        (StandardEmbedding, (5, (1, 2))),
+        (StandardEmbedding, (eye, 5)),
+        (StandardEmbedding, (eye, None)),
+    ):
+        with pytest.raises(ValueError):
+            build(*args)
+
+
 def test_certificate_with_a_fractional_matrix_entry_is_refused():
+    # The step's matrix is its two columns u and v.
     _, cert = reduce_curve(Curve3.of(2, 3, 5))
-    for i in range(3):
-        for j in range(3):
+    for key in ("u", "v"):
+        for i in range(3):
             doc = json.loads(json.dumps(cert.to_json_dict()))
-            x = doc["steps"][0]["matrix"][i][j] + 0.5
-            doc["steps"][0]["matrix"][i][j] = x
-            with pytest.raises(ValueError, match=f"got {x}"):
+            doc["steps"][0][key][i] += 0.5
+            with pytest.raises(ValueError, match=f"{key} must be 3 ints, got"):
                 Reduction3Certificate.from_json_dict(doc)
 
 
@@ -161,9 +177,9 @@ def test_reduce_routes_through_expected_embeddings():
     assert canonical == Curve3(1, 0, 1)
     (step,) = cert.steps
     # The step's plane holds both the curve and its parity vector.
-    n = step.embedding.normal()
+    n = cross(step.u, step.v)
     assert _dot(n, c.coords) == 0 and _dot(n, canonical.coords) == 0
-    assert step.embedding.columns == (2, 3)
+    assert math.gcd(*n) == 1
     replay_certificate(cert)
 
 
@@ -193,13 +209,19 @@ def test_replay_rejects_tampering():
     (step,) = cert.steps
     x, y = step.to_pair
     _, other = reduce_curve(Curve3.of(4, -6, 3))
+    u, v = step.u, step.v
     for tampered in (
-        ReductionStep(step.embedding, step.from_pair, (x + 1, y)),  # differs mod 2
-        ReductionStep(step.embedding, step.to_pair, step.to_pair),  # pushes to the canonical
-        ReductionStep(other.steps[0].embedding, step.from_pair, step.to_pair),  # another plane
+        ReductionStep(u, v, step.from_pair, (x + 1, y)),  # differs mod 2
+        ReductionStep(u, v, step.to_pair, step.to_pair),  # pushes to the canonical
+        ReductionStep(other.steps[0].u, other.steps[0].v, step.from_pair, step.to_pair),
     ):
         with pytest.raises(VerificationError):
             replay_certificate(Reduction3Certificate(cert.source, cert.canonical, (tampered,)))
+    # (1,0,0) and (0,2,0) span a sublattice of index 2 in their plane, so no
+    # third column gives determinant 1; every other check of this step passes.
+    covering = ReductionStep((1, 0, 0), (0, 2, 0), (1, 2), (1, 0))
+    with pytest.raises(VerificationError, match=r"step 0: columns \(1, 0, 0\) and \(0, 2, 0\)"):
+        replay_certificate(Reduction3Certificate(Curve3(1, 4, 0), Curve3(1, 0, 0), (covering,)))
 
 
 def test_replay_refuses_non_coprime_pairs():
@@ -210,8 +232,8 @@ def test_replay_refuses_non_coprime_pairs():
     (a, b), to_pair = step.from_pair, step.to_pair
     assert to_pair == (0, 1)
     for tampered in (
-        ReductionStep(step.embedding, (a + 2, b), to_pair),  # (0, 5)
-        ReductionStep(step.embedding, (a, b), (0, 3)),
+        ReductionStep(step.u, step.v, (a + 2, b), to_pair),  # (0, 5)
+        ReductionStep(step.u, step.v, (a, b), (0, 3)),
     ):
         with pytest.raises(VerificationError, match="must be coprime"):
             replay_certificate(Reduction3Certificate(cert.source, cert.canonical, (tampered,)))
@@ -236,7 +258,7 @@ def test_reduction_sweep_refuses_a_longer_chain(monkeypatch):
             return canonical, cert
         # A step from the canonical curve to itself still replays.
         last = cert.steps[-1]
-        idle = ReductionStep(last.embedding, last.to_pair, last.to_pair)
+        idle = ReductionStep(last.u, last.v, last.to_pair, last.to_pair)
         return canonical, Reduction3Certificate(c, canonical, cert.steps + (idle,))
 
     assert checks.reduction_sweep(2) == (98, None)
@@ -256,12 +278,7 @@ def test_reduction_json_roundtrip():
     replay_certificate(back)
     assert list(doc) == ["input", "canonical", "steps"]
     if doc["steps"]:
-        assert list(doc["steps"][0]) == [
-            "matrix",
-            "columns",
-            "from_pair",
-            "to_pair",
-        ]
+        assert list(doc["steps"][0]) == ["u", "v", "from_pair", "to_pair"]
 
 
 def _dot(u, v):
@@ -364,8 +381,10 @@ def test_normals_are_primitive():
 
 
 def test_step_pairs_are_dot_products_with_the_basis():
-    # The pairs against the inverse of the embedding, taken as its
-    # adjugate, which they replace; each pair pushes back to its curve.
+    # The pairs against the inverse of the embedding whose columns are
+    # those of find_diffeo(n), taken as its adjugate, which they replace;
+    # its columns 2 and 3 are the step's, and each pair pushes back to its
+    # curve.
     rng = random.Random(41)
     done = 0
     while done < 500:
@@ -377,7 +396,8 @@ def test_step_pairs_are_dot_products_with_the_basis():
         if c == e:
             continue
         step = _step(c, e)
-        emb = step.embedding
+        emb = StandardEmbedding(tuple(zip(*find_diffeo(primitive_cross(c, e)))), (2, 3))
+        assert emb.selected() == (step.u, step.v)
         inv = mat_adjugate(emb.matrix)
         assert (step.from_pair, step.to_pair) == (mat_vec(inv, c)[1:], mat_vec(inv, e)[1:])
         assert emb.push(*step.from_pair) == Curve3.of(*c)
