@@ -4,9 +4,13 @@ Curve-basis skein elements, quantum-torus elements and commutator-quotient
 elements are all finite sums of keys with coefficients in Q(A), held as a
 read-only map {key: coefficient} with no zero coefficient; equal maps mean
 equal elements.  Sums and products all go through one accumulate kernel,
-which drops a key once its coefficient cancels.  Subclasses add their
-constructors and product, which stays in its own module, so the quantum
-torus never depends on the curve product it checks.
+which tests for zero only after a sum: its callers pass nonzero
+coefficients (products in a field, shifts, terms of canonical elements),
+so collect() and the arithmetic wrap its map with no second zero filter.
+The public constructor refuses a coefficient that is not a
+RationalFunction and drops zeros.  Subclasses add their constructors and
+product, which stays in its own module, so the quantum torus never
+depends on the curve product it checks.
 """
 
 from __future__ import annotations
@@ -18,11 +22,13 @@ from .ratfunc import RationalFunction
 
 def _accumulate(out: dict, pairs) -> dict:
     # Add each (key, coefficient) pair into out, dropping keys that cancel.
+    # Every caller's coefficients are nonzero, so only a sum can be zero.
     for key, c in pairs:
         acc = out.get(key)
-        acc = c if acc is None else acc + c
-        if acc.is_zero():
-            out.pop(key, None)
+        if acc is None:
+            out[key] = c
+        elif (acc := acc + c).is_zero():
+            del out[key]
         else:
             out[key] = acc
     return out
@@ -34,14 +40,23 @@ class Combination:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = MappingProxyType(
-            {} if not terms else {k: c for k, c in terms.items() if not c.is_zero()}
-        )
+        terms = terms or {}
+        for c in terms.values():
+            if type(c) is not RationalFunction:
+                raise TypeError(f"coefficients must be RationalFunctions, got {c!r}")
+        self.terms = MappingProxyType({k: c for k, c in terms.items() if not c.is_zero()})
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        # Internal: terms is a fresh map with canonical keys and no zero coefficient.
+        out = cls.__new__(cls)
+        out.terms = MappingProxyType(terms)
+        return out
 
     @classmethod
     def collect(cls, pairs):
-        """The sum of an iterable of (key, coefficient) pairs."""
-        return cls(_accumulate({}, pairs))
+        """The sum of an iterable of (key, coefficient) pairs, each coefficient nonzero."""
+        return cls._raw(_accumulate({}, pairs))
 
     @classmethod
     def zero(cls):
@@ -59,16 +74,16 @@ class Combination:
     def scale(self, coeff: RationalFunction):
         if coeff.is_zero():
             return type(self)()
-        return type(self)({k: c * coeff for k, c in self.terms.items()})
+        return self._raw({k: c * coeff for k, c in self.terms.items()})
 
     def __add__(self, other):
-        return type(self)(_accumulate(self.terms.copy(), other.terms.items()))
+        return self._raw(_accumulate(self.terms.copy(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._raw({k: -c for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms

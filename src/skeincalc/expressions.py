@@ -211,7 +211,7 @@ class _Parser:
                 acc = dict(_element(value).terms)
             terms = _element(rhs).terms.items()
             _accumulate(acc, ((k, -c) for k, c in terms) if minus else terms)
-        return value if acc is None else SkeinT2Element(acc)
+        return value if acc is None else SkeinT2Element._raw(acc)
 
     def term(self) -> Value:
         value = self.factor()

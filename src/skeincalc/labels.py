@@ -13,7 +13,9 @@ expansion holds) and {P, M} == {F, T}.  The scale is 1/(A^d - A^-d)
 when P == F and its negative when P == T.  A step with F == T claims
 nothing (its scale would be 0), and P != M refuses it.  verify_certificate()
 decides on integers alone, and this module imports no algebra; only
-CertStep.scale, which derives the scale, imports ratfunc.
+CertStep.scale, which derives the scale, imports ratfunc.  Records built
+in process are checked as the loaders check JSON: a field that is not a
+pair of ints (a bool or float included) is a ValueError.
 """
 
 from __future__ import annotations
@@ -44,10 +46,12 @@ class CertStep(Record):
     def _labels(self) -> tuple[tuple[int, int], tuple[int, int], int]:
         """L(c+m), L(c-m) and d = det(c, m), c the conjugator and m the midpoint of from and to."""
         fp, tp = self.from_pair, self.to_pair
-        if (fp[0] + tp[0]) % 2 or (fp[1] + tp[1]) % 2:
+        (f0, f1), (t0, t1), (c0, c1) = fp, tp, self.conjugator  # a wrong length is a ValueError
+        if not type(f0) is type(f1) is type(t0) is type(t1) is type(c0) is type(c1) is int:
+            raise ValueError(f"step {fp} -> {tp} via {self.conjugator} must hold pairs of ints")
+        if (f0 + t0) % 2 or (f1 + t1) % 2:
             raise VerificationError(f"step {fp} -> {tp} has no integer midpoint")
-        m0, m1 = (fp[0] + tp[0]) // 2, (fp[1] + tp[1]) // 2
-        c0, c1 = self.conjugator
+        m0, m1 = (f0 + t0) // 2, (f1 + t1) // 2
         d = c0 * m1 - c1 * m0
         if d == 0:
             raise VerificationError(f"step {fp} -> {tp}: conjugator determinant is 0")
@@ -137,6 +141,9 @@ def verify_certificate(cert: AbCertificate) -> None:
     [c, m] is from - to; P != M refuses an idle step, F == T.  The walk ends on the canonical label, the
     input's class, so the steps telescope to source - canonical.
     """
+    (s0, s1), (k0, k1) = cert.source, cert.canonical
+    if not type(s0) is type(s1) is type(k0) is type(k1) is int:
+        raise ValueError(f"certificate {cert.source} -> {cert.canonical} must hold pairs of ints")
     if cert.source == (0, 0):
         raise VerificationError("(0,0) is not a curve label")
     cur = canonical_pair(*cert.source)

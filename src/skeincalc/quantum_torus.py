@@ -12,12 +12,15 @@ stored as {(p, q): coefficient}, which is a canonical form.
 
 The product groups each operand's monomials by coefficient and
 multiplies each distinct pair of coefficients once, then shifts that
-product by -2qr, the exponent of A, for each pair of monomials that
-carries it (RationalFunction.shift, no product); this is the term-by-term
-product, by bilinearity.  The image of a curve carries one coefficient on
-both of its monomials, so the product of two images of n-term elements
-takes n^2 coefficient products, not (2n)^2.  Embedding an element shifts
-each label's coefficient once and multiplies nothing.
+product by -2qr, the exponent of A, once for each distinct exponent its
+pairs of monomials carry (RationalFunction.shift, no product); this is
+the term-by-term product, by bilinearity.  A curve's image carries one
+coefficient on its monomials k and -k, so the product of two images of
+n-term elements takes n^2 coefficient products, not (2n)^2, and, as the
+pairs (k, k') and (-k, -k') share an exponent, at most 2n^2 shifts, not 4n^2.
+Embedding an element shifts each label's coefficient once and writes
+each monomial once: distinct canonical labels have disjoint images,
+none (0,0), the empty link's, so no two terms merge or cancel.
 """
 
 from __future__ import annotations
@@ -47,16 +50,21 @@ class QTorusElement(Combination):
 
     def __mul__(self, other: "QTorusElement") -> "QTorusElement":
         # (l^p m^q)(l^r m^s) = A^(-2qr) l^(p+r) m^(q+s), with one product per
-        # distinct pair of coefficients (see the module docstring).
+        # distinct pair of coefficients and one shift of it per distinct
+        # exponent (see the module docstring).
         groups = _by_coeff(other)
 
         def products():
             for ca, keys_a in _by_coeff(self):
                 for cb, keys_b in groups:
                     c = ca * cb
+                    shifted = {}
                     for p, q in keys_a:
                         for r, s in keys_b:
-                            yield (p + r, q + s), c.shift(-2 * q * r)
+                            k = -2 * q * r
+                            if k not in shifted:
+                                shifted[k] = c.shift(k)
+                            yield (p + r, q + s), shifted[k]
 
         return QTorusElement.collect(products())
 
@@ -78,8 +86,8 @@ def _by_coeff(x: QTorusElement):
     return groups.items()
 
 
-# embed_element shifts coefficients through _image and does not call this;
-# the bound keeps memory flat however many labels a caller asks for.
+# embed_element shifts coefficients itself and does not call this; the
+# bound keeps memory flat however many labels a caller asks for.
 @lru_cache(maxsize=4096)
 def embed_curve(p: int, q: int) -> QTorusElement:
     """Image of the (p,q) curve label: A^(-pq) * (l^p m^q + l^-p m^-q).
@@ -91,24 +99,17 @@ def embed_curve(p: int, q: int) -> QTorusElement:
     """
     if p == 0 and q == 0:
         return QTorusElement.scalar(RationalFunction.from_int(2))
-    return QTorusElement(dict(_image(p, q, RationalFunction.one())))
-
-
-def _image(p: int, q: int, coeff: RationalFunction):
-    # The terms of coeff times the image of the curve (p,q) != (0,0): one
-    # coefficient coeff * A^(-pq), shifted once, on both monomials.
-    c = coeff.shift(-p * q)
-    return ((p, q), c), ((-p, -q), c)
+    c = RationalFunction.one().shift(-p * q)
+    return QTorusElement._raw({(p, q): c, (-p, -q): c})
 
 
 def embed_element(x) -> QTorusElement:
     """Linear extension of embed_curve to whole skein elements; empty maps to 1."""
-
-    def images():
-        for label, coeff in x.terms.items():
-            if label:
-                yield from _image(*label, coeff)
-            else:
-                yield (0, 0), coeff
-
-    return QTorusElement.collect(images())
+    terms = {}  # no two keys meet, as x's labels are canonical (module docstring)
+    for label, coeff in x.terms.items():
+        if label:
+            p, q = label
+            terms[p, q] = terms[-p, -q] = coeff.shift(-p * q)
+        else:
+            terms[0, 0] = coeff
+    return QTorusElement._raw(terms)

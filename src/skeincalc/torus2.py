@@ -8,7 +8,9 @@ degree-2 first-kind Chebyshev colouring), and expanding such labels is a
 separate operation, not a normal form.
 
 An element is a finite Q(A)-combination of labels stored as
-{label: coefficient}.  Label products follow the Frohman-Gelca rule
+{label: coefficient}.  The constructor refuses a key that is not a basis
+label, such as (-1, 0) or (0, 0), with a ValueError, so equal elements
+have equal maps.  Label products follow the Frohman-Gelca rule
 
     (p,q) * (r,s) = A^(ps-qr) (p+r, q+s) + A^-(ps-qr) (p-r, q-s)
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 
 from .combination import Combination
+from .errors import int_tuple
 from .labels import canonical_pair
 from .ratfunc import RationalFunction
 
@@ -32,6 +35,12 @@ class SkeinT2Element(Combination):
     """Finite Q(A)-combination of curve labels, in canonical form."""
 
     __slots__ = ()
+
+    def __init__(self, terms: dict | None = None):
+        for label in terms or ():
+            if label != EMPTY and canonical_pair(*int_tuple(label, 2, "a curve label")) != label:
+                raise ValueError(f"{label!r} is not a canonical curve label; use curve()")
+        super().__init__(terms)
 
     @classmethod
     def unit(cls) -> "SkeinT2Element":
@@ -45,8 +54,8 @@ class SkeinT2Element(Combination):
     def curve(cls, p: int, q: int) -> "SkeinT2Element":
         """The basis label for (p,q); (0,0) becomes twice the empty link."""
         if p == 0 and q == 0:
-            return cls({EMPTY: RationalFunction.from_int(2)})
-        return cls({canonical_pair(p, q): RationalFunction.one()})
+            return cls._raw({EMPTY: RationalFunction.from_int(2)})
+        return cls._raw({canonical_pair(p, q): RationalFunction.one()})
 
     def __mul__(self, other: "SkeinT2Element") -> "SkeinT2Element":
         def products():
@@ -120,7 +129,7 @@ def t_to_jw(n: int) -> dict[int, int]:
 
 def framing_twist(x: SkeinT2Element, k: int) -> SkeinT2Element:
     """Multiply by (-A^3)^k, the effect of k positive framing twists: a shift and a sign."""
-    return SkeinT2Element(
+    return SkeinT2Element._raw(
         {label: -c.shift(3 * k) if k % 2 else c.shift(3 * k) for label, c in x.terms.items()}
     )
 

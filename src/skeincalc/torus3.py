@@ -74,11 +74,9 @@ def primitive_cross(u: Vec3, v: Vec3) -> Curve3 | None:
 
 def _first_nonzero(p: int, q: int, r: int) -> int:
     # The first nonzero entry of a coprime triple; any other triple is refused.
-    try:
-        g = math.gcd(p, q, r)
-    except TypeError:  # a float or str entry
-        raise ValueError(f"({p},{q},{r}) must be three ints") from None
-    if g != 1:
+    if not type(p) is type(q) is type(r) is int:  # a bool, float or str is refused
+        raise ValueError(f"({p},{q},{r}) must be three ints")
+    if math.gcd(p, q, r) != 1:
         raise ValueError(f"({p},{q},{r}) is not coprime")
     return p or q or r
 
@@ -247,15 +245,20 @@ def replay_certificate(cert: Reduction3Certificate) -> None:
     u x v have gcd 1).  Its pairs must agree mod 2, so the curves they
     push to do too, and be coprime; from_pair must push to the current
     curve and to_pair gives the next.  The chain must end on the canonical
-    curve, the input's parity vector.  ValueError comes only from building
-    records: Curve3 refuses a triple that is not coprime or not
-    sign-canonical.  Curves compare up to sign, so a pair's sign is no
-    part of the claim, and a byte comparison must not tell two such
-    documents apart.
+    curve, the input's parity vector.  ValueError comes from a step field
+    that does not hold ints (a bool or float), as in a loaded certificate,
+    and from building records: Curve3 refuses a triple that is not
+    coprime or not sign-canonical.  Curves compare up to sign, so a
+    pair's sign is no part of the claim, and a byte comparison must not
+    tell two such documents apart.
     """
     cur = cert.source
     for k, step in enumerate(cert.steps):
         u, v, (a, b), (x, y) = step.u, step.v, step.from_pair, step.to_pair
+        (u0, u1, u2), (v0, v1, v2) = u, v  # a wrong length is a ValueError
+        if not (type(u0) is type(u1) is type(u2) is type(v0) is type(v1) is type(v2)
+                is type(a) is type(b) is type(x) is type(y) is int):
+            raise ValueError(f"step {k}: fields must hold ints, got {step!r}")
         if math.gcd(*cross(u, v)) != 1:
             raise VerificationError(f"step {k}: columns {u} and {v} span no standard torus")
         if (a - x) % 2 or (b - y) % 2:

@@ -247,6 +247,27 @@ def test_certificate_json_pairs_must_be_two_ints():
         AbCertificate.from_json_dict(doc)
 
 
+def test_certificate_records_built_in_process_must_hold_ints():
+    # As the loader refuses them: a float field would reach the scale as a
+    # float exponent, and a bool would be read as 0 or 1.
+    cert = certificate(3, 1)
+    (step,) = cert.steps
+    assert step == CertStep((3, 1), (1, 1), (1, 0))
+    for bad in (
+        CertStep((3, 1), (1, 1), (1.0, 0)),
+        CertStep((3, 1), (1.0, 1), (1, 0)),
+        CertStep((3, 1), (1, 1), (True, 0)),
+        CertStep((3, 1), (1, 1), (1, 0, 0)),
+    ):
+        with pytest.raises(ValueError):
+            verify_certificate(AbCertificate(cert.source, cert.canonical, (bad,)))
+        with pytest.raises(ValueError):
+            bad.scale
+    for source, canonical in (((3.0, 1), (1, 1)), ((3, 1), (True, 1)), ((3, 1), (1, 1, 0))):
+        with pytest.raises(ValueError):
+            verify_certificate(AbCertificate(source, canonical, cert.steps))
+
+
 def test_quotient_kills_commutators():
     for p in range(-3, 4):
         for q in range(-3, 4):

@@ -139,6 +139,55 @@ def test_images_multiply_each_coefficient_pair_once(monkeypatch):
     assert got == _double_loop(ex, ey) == embed_element(x * y)
 
 
+def test_images_shift_each_coefficient_product_once_per_exponent(monkeypatch):
+    # Image monomials come in pairs k, -k, and the pairs (k, k') and (-k, -k')
+    # of monomials share the exponent -2qr, so each of the 16 coefficient
+    # products of two images of 4-term elements is shifted twice: 32 shifts,
+    # where one per pair of monomials would take 64.  No label has a zero
+    # entry, so the two exponents of each coefficient product differ.
+    one = RationalFunction.one()
+    x = SkeinT2Element(
+        {(1, 1): a_pow(3) + one, (2, -1): a_pow(1) + one, (1, 2): one - a_pow(2), (3, 1): a_pow(-1)}
+    )
+    y = SkeinT2Element(
+        {(1, -1): a_pow(-2) - one, (2, 3): a_pow(2), (1, -2): one + one, (4, 1): (a_pow(4) + one).inverse()}
+    )
+    ex, ey = embed_element(x), embed_element(y)
+    shifts = []
+    shift = RationalFunction.shift
+
+    def counted(a, k):
+        shifts.append(k)
+        return shift(a, k)
+
+    monkeypatch.setattr(RationalFunction, "shift", counted)
+    got = ex * ey
+    monkeypatch.undo()
+    assert len(shifts) == 32
+    assert 0 not in shifts
+    assert got == _double_loop(ex, ey) == embed_element(x * y)
+
+
+def test_embed_element_is_the_sum_of_its_label_images():
+    # Written straight into one map, the image must still be the linear
+    # extension of embed_curve, for rational coefficients and the empty link.
+    rng = random.Random(6)
+    one = RationalFunction.one()
+    pool = [one, -one, a_pow(2), (a_pow(2) + one).inverse(), (a_pow(1) - a_pow(-1)).inverse(), a_pow(-3) + one]
+    labels = [(p, q) for p in range(-3, 4) for q in range(-3, 4)]
+    with_empty = 0
+    for _ in range(200):
+        x = SkeinT2Element.zero()
+        for _ in range(rng.randint(0, 5)):
+            x = x + SkeinT2Element.scalar(rng.choice(pool)) * curve(*rng.choice(labels))
+        want = QTorusElement.zero()
+        for label, coeff in x.terms.items():
+            want = want + QTorusElement.scalar(coeff) * (embed_curve(*label) if label else QTorusElement.one())
+        assert embed_element(x) == want
+        with_empty += () in x.terms
+    assert with_empty
+
+
 def test_embed_element_shifts_each_label_coefficient_once(monkeypatch):
     # A curve's image carries one coefficient on both of its monomials, so
     # the label's coefficient is shifted by -pq once, not once per monomial,

@@ -42,6 +42,32 @@ def test_elements_are_read_only_and_hashable():
     assert len({curve(1, 0), curve(-1, 0), curve(0, 1)}) == 2
 
 
+def test_constructor_refuses_labels_that_are_not_canonical():
+    # Equal elements must have equal maps, so (-1,0) is not another name for
+    # (1,0) and (0,0) is not another name for twice the empty link.
+    one = RationalFunction.one()
+    for label in ((-1, 0), (0, -2), (0, 0), (True, 0), (1.0, 0), (1, 0, 0), "ab"):
+        with pytest.raises(ValueError):
+            SkeinT2Element({label: one})
+    assert SkeinT2Element({(1, 0): one, EMPTY: one}) == curve(1, 0) + SkeinT2Element.unit()
+
+
+def test_constructor_refuses_coefficients_that_are_not_rational_functions():
+    for coeff in (1, 0, 1.5, "A"):
+        with pytest.raises(TypeError, match="must be RationalFunctions"):
+            SkeinT2Element({(1, 0): coeff})
+
+
+def test_collect_drops_cancelling_keys_like_the_constructor():
+    one = RationalFunction.one()
+    pairs = [((1, 0), a_pow(1)), ((0, 1), one), ((1, 0), -a_pow(1)), (EMPTY, TWO), ((0, 1), one)]
+    got = SkeinT2Element.collect(pairs)
+    assert (1, 0) not in got.terms
+    assert got.terms == {(0, 1): TWO, EMPTY: TWO}
+    assert got == SkeinT2Element({(1, 0): RationalFunction.zero(), (0, 1): TWO, EMPTY: TWO})
+    assert SkeinT2Element.collect([((1, 0), one), ((1, 0), -one)]) == SkeinT2Element()
+
+
 def test_canonical_pair_rejects_origin():
     with pytest.raises(ValueError):
         canonical_pair(0, 0)

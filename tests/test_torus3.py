@@ -81,18 +81,38 @@ def test_embedding_rejects_bad_matrices():
 
 
 def test_non_int_entries_are_value_errors():
-    # Never the TypeError that math.gcd, len or unpacking would raise.
+    # Never the TypeError that math.gcd, len or unpacking would raise; a
+    # bool, which math.gcd takes as 0 or 1, is refused too.
     eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for build, args in (
         (Curve3, (2.0, 3, 5)),
         (Curve3.of, (2.0, 3, 5)),
         (Curve3, (1, "0", 0)),
+        (Curve3, (True, 0, 0)),
+        (Curve3.of, (0, -1, True)),
         (StandardEmbedding, (5, (1, 2))),
         (StandardEmbedding, (eye, 5)),
         (StandardEmbedding, (eye, None)),
     ):
         with pytest.raises(ValueError):
             build(*args)
+
+
+def test_replay_refuses_step_fields_that_are_not_ints():
+    # As the loader refuses them, a record built in process that holds a
+    # bool or float is a ValueError, not a replayed step.
+    _, cert = reduce_curve(Curve3.of(2, 3, 5))
+    (step,) = cert.steps
+    u, v, (a, b), to_pair = step.u, step.v, step.from_pair, step.to_pair
+    for tampered in (
+        ReductionStep(u, v, (float(a), b), to_pair),
+        ReductionStep(u, v, (a, b), (to_pair[0], float(to_pair[1]))),
+        ReductionStep(tuple(map(bool, u)), v, (a, b), to_pair),
+        ReductionStep(u, (*v[:2], float(v[2])), (a, b), to_pair),
+        ReductionStep(u, (*v, 0), (a, b), to_pair),
+    ):
+        with pytest.raises(ValueError):
+            replay_certificate(Reduction3Certificate(cert.source, cert.canonical, (tampered,)))
 
 
 def test_certificate_with_a_fractional_matrix_entry_is_refused():
