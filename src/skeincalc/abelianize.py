@@ -11,6 +11,7 @@ closure_check() re-derives the partition with a union-find over a box.
 from __future__ import annotations
 
 from .combination import Combination
+from .errors import int_tuple
 from .labels import AbCertificate, CertStep, certificate, reduce_label, verify_certificate
 from .torus2 import EMPTY, SkeinT2Element
 
@@ -22,6 +23,12 @@ class AbElement(Combination):
     """Finite Q(A)-combination of quotient classes."""
 
     __slots__ = ()
+
+    def __init__(self, terms: dict | None = None):
+        for key in terms or ():
+            if key != EMPTY and int_tuple(key, 2, "a class") not in CLASSES:
+                raise ValueError(f"{key!r} is not one of the classes {CLASSES}")
+        super().__init__(terms)
 
 
 def reduce_element(x: SkeinT2Element) -> AbElement:

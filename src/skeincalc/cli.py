@@ -58,12 +58,6 @@ def cmd_mul(args) -> int:
     return 0
 
 
-def cmd_reduce_t2(args) -> int:
-    from .expressions import parse_element
-    _emit_element(parse_element(args.expr), args.json)
-    return 0
-
-
 def cmd_abelianize(args) -> int:
     from .abelianize import reduce_element
     from .expressions import parse_element
@@ -246,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("mul", cmd_mul, "multiply skein expressions")
     p.add_argument("expr", nargs="+", help="expressions, e.g. '(1,0)*(0,1)'")
 
-    p = add("reduce-t2", cmd_reduce_t2, "expand an expression to curve-basis normal form")
-    p.add_argument("expr")
+    # One expression is a product of one factor: mul's code, one argument.
+    p = add("reduce-t2", cmd_mul, "expand an expression to curve-basis normal form")
+    p.add_argument("expr", nargs=1)
 
     p = add("abelianize", cmd_abelianize, "project an expression onto the five classes")
     p.add_argument("expr")

@@ -72,9 +72,12 @@ class Combination:
         return set(self.terms)
 
     def scale(self, coeff: RationalFunction):
+        # A unit coefficient, such as a bare curve label's, takes coeff whole,
+        # with no product.
         if coeff.is_zero():
             return type(self)()
-        return self._raw({k: c * coeff for k, c in self.terms.items()})
+        one = RationalFunction.one()
+        return self._raw({k: coeff if c is one else c * coeff for k, c in self.terms.items()})
 
     def __add__(self, other):
         return self._raw(_accumulate(self.terms.copy(), other.terms.items()))

@@ -20,12 +20,12 @@ RationalFunction(n, d): one _monic and one _cancel, with no inverse and
 no product; any other quotient is a product by the divisor's inverse.
 A scalar becomes a SkeinT2Element at a curve label, as a multiple of
 the empty link or as the coefficient of the element it meets; a bare
-label c*(p,q) takes c as its coefficient with no product.  A sum t1 +
-t2 + ... that holds an element adds each term, from the first element
-on, into one coefficient map, so it costs one pass and not a copy of
-the map per '+'.  Scalars are central and canonical forms are unique,
-so the result is the same canonical element as evaluating everything in
-the skein algebra.
+label c*(p,q) takes c as its coefficient with no product
+(Combination.scale).  A sum t1 + t2 + ... that holds an element adds
+each term, from the first element on, into one coefficient map, so it
+costs one pass and not a copy of the map per '+'.  Scalars are central
+and canonical forms are unique, so the result is the same canonical
+element as evaluating everything in the skein algebra.
 
 A parenthesized Laurent polynomial with integer coefficients, such as
 (2*A^-5 - A + 3), is scanned as one POLY token: '(' then signed
@@ -45,8 +45,13 @@ Nesting through '(' and unary minus is bounded by MAX_DEPTH, so a deep
 input ends in an ExpressionError rather than a RecursionError.  A
 literal is as deep as the grammar nests it: one level for its '(' and
 one more for a leading minus.  Errors carry the line, column and
-offending token; a literal or label is named by its '('.  A token is a plain
-(kind, text, line, col) tuple.
+offending token; a literal or label is named by its '('.
+
+The scanner is one regular expression, read with one findall per
+source: each match is a token's leading blanks and then its text, so a
+column is a sum of lengths.  A token is a plain (kind, text, line, col)
+tuple; POLY, LABEL, INT, NAME and EOF are kinds, and a one-character
+token such as '+' or '(' is its own kind.
 """
 
 from __future__ import annotations
@@ -73,66 +78,36 @@ Token = tuple[str, str, int, int]  # (kind, text, line, col)
 
 # The text of a POLY token, a Laurent-polynomial literal (module docstring).
 _MONO = r"(?:\d+(?: *\* *A(?: *\^ *-? *\d+)?)?|A(?: *\^ *-? *\d+)?)"
-_LITERAL = re.compile(rf"\( *-? *{_MONO}(?: *[+-] *{_MONO})* *\)")
+_LITERAL = rf"\( *-? *{_MONO}(?: *[+-] *{_MONO})* *\)"
 # The text of a LABEL token, a curve label with spaces as its only blanks.
-_LABEL = re.compile(r"\( *-? *\d+ *, *-? *\d+ *\)")
-
-_SINGLE = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-}
+_LABEL = r"\( *-? *\d+ *, *-? *\d+ *\)"
+# One token after its blanks: a literal, a label, an INT (exactly the digits
+# int() accepts), a NAME, a one-character token, a newline, any other
+# character, or the end of the source.
+_TOKEN = re.compile(
+    rf"([ \t\r]*)(?:({_LITERAL})|({_LABEL})|(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\n)|([^ \t\r])|\Z)"
+)
 
 
 def tokenize(source: str) -> list[Token]:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r":
-            i += 1
+    line = col = 1
+    for blanks, poly, label, digits, name, single, newline, other in _TOKEN.findall(source):
+        col += len(blanks)
+        if single:
+            tokens.append((single, single, line, col))
             col += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        start = col
-        if ch == "(" and (m := _LITERAL.match(source, i) or _LABEL.match(source, i)):
-            j = m.end()
-            tokens.append(("POLY" if m.re is _LITERAL else "LABEL", source[i:j], line, start))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():  # exactly the digits int() accepts
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            tokens.append(("INT", source[i:j], line, start))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("NAME", source[i:j], line, start))
-            col += j - i
-            i = j
-            continue
-        kind = _SINGLE.get(ch)
-        if kind is None:
-            raise ExpressionError(line, col, f"unexpected character {ch!r}")
-        tokens.append((kind, ch, line, start))
-        i += 1
-        col += 1
+        elif newline:
+            line, col = line + 1, 1
+        elif other or name and not (name[0].isalpha() or name[0] == "_"):
+            # [^\W\d] also takes a numeric character int() refuses, such as '\u00b2'.
+            raise ExpressionError(line, col, f"unexpected character {(other or name)[0]!r}")
+        elif text := poly or label or digits or name:
+            kind = "POLY" if poly else "LABEL" if label else "INT" if digits else "NAME"
+            tokens.append((kind, text, line, col))
+            col += len(text)
+        else:
+            break  # the end of the source
     tokens.append(("EOF", "", line, col))
     return tokens
 
@@ -200,9 +175,9 @@ class _Parser:
         value = self.term()
         tokens = self.tokens
         acc = None  # the sum's coefficient map, from its first element on
-        while (kind := tokens[self.pos][0]) == "PLUS" or kind == "MINUS":
+        while (kind := tokens[self.pos][0]) == "+" or kind == "-":
             self.pos += 1
-            minus = kind == "MINUS"
+            minus = kind == "-"
             rhs = self.term()
             if acc is None and SkeinT2Element not in (type(value), type(rhs)):
                 value = value - rhs if minus else value + rhs
@@ -216,17 +191,17 @@ class _Parser:
     def term(self) -> Value:
         value = self.factor()
         tokens = self.tokens
-        while (op := tokens[self.pos])[0] == "STAR" or op[0] == "SLASH":
+        while (op := tokens[self.pos])[0] == "*" or op[0] == "/":
             self.pos += 1
             rhs = self.factor()
-            if op[0] == "SLASH":
+            if op[0] == "/":
                 value = self._divide(value, rhs, op)
             elif type(value) is type(rhs):
                 value = value * rhs
             elif type(rhs) is SkeinT2Element:
-                value = _scaled(rhs, value)
+                value = rhs.scale(value)
             else:
-                value = _scaled(value, rhs)
+                value = value.scale(rhs)
         return value
 
     def _divide(self, value: Value, c: Value, op: Token) -> Value:
@@ -244,7 +219,7 @@ class _Parser:
 
     def factor(self) -> Value:
         tok = self.tokens[self.pos]
-        if tok[0] == "MINUS":
+        if tok[0] == "-":
             self.pos += 1
             self._nest(tok)
             value = -self.factor()
@@ -254,7 +229,7 @@ class _Parser:
 
     def _signed_int(self, what: str) -> int:
         sign = 1
-        if self.peek()[0] == "MINUS":
+        if self.peek()[0] == "-":
             self.advance()
             sign = -1
         return sign * int(self.expect("INT", what)[1])
@@ -273,7 +248,7 @@ class _Parser:
             self.pos += 1
             if text == "A":
                 exp = 1
-                if self.peek()[0] == "CARET":
+                if self.peek()[0] == "^":
                     self.advance()
                     exp = self._signed_int("an integer exponent")
                 return a_pow(exp)
@@ -286,25 +261,25 @@ class _Parser:
             self._nest(tok)
             body = text[1:].lstrip(" ")
             if body[0] == "-":
-                self._nest(("MINUS", "-", tok[2], tok[3] + len(text) - len(body)))
+                self._nest(("-", "-", tok[2], tok[3] + len(text) - len(body)))
                 self.depth -= 1
             self.depth -= 1
             self.pos += 1
             return _literal(text)
-        if kind == "LPAREN":
+        if kind == "(":
             # Curve label when an integer then a comma follow.
-            k = 1 if self.peek(1)[0] != "MINUS" else 2
-            if self.peek(k)[0] == "INT" and self.peek(k + 1)[0] == "COMMA":
+            k = 1 if self.peek(1)[0] != "-" else 2
+            if self.peek(k)[0] == "INT" and self.peek(k + 1)[0] == ",":
                 self.advance()
                 p = self._signed_int("an integer")
-                self.expect("COMMA", "','")
+                self.expect(",", "','")
                 q = self._signed_int("an integer")
-                self.expect("RPAREN", "')'")
+                self.expect(")", "')'")
                 return SkeinT2Element.curve(p, q)
             self.pos += 1
             self._nest(tok)
             value = self.expr()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             self.depth -= 1
             return value
         self.fail(tok, "expected a number, 'A', 'empty', a curve label or '('")
@@ -319,16 +294,6 @@ def _shown(tok: Token) -> str:
 def _element(value: Value) -> SkeinT2Element:
     # A scalar value as a multiple of the empty link; elements pass through.
     return value if type(value) is SkeinT2Element else SkeinT2Element.scalar(value)
-
-
-def _scaled(element: SkeinT2Element, coeff: RationalFunction) -> SkeinT2Element:
-    # coeff * element; a bare label, one term with coefficient 1, takes coeff
-    # itself as its coefficient.
-    if len(element.terms) == 1:
-        ((label, c),) = element.terms.items()
-        if c.is_one():
-            return SkeinT2Element({label: coeff})
-    return element.scale(coeff)
 
 
 def parse_element(source: str) -> SkeinT2Element:

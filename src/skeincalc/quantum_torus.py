@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .combination import Combination
+from .errors import int_tuple
 from .ratfunc import RationalFunction
 
 
@@ -35,6 +36,11 @@ class QTorusElement(Combination):
     """Finite Q(A)-combination of normal-ordered monomials l^p m^q."""
 
     __slots__ = ()
+
+    def __init__(self, terms: dict | None = None):
+        for key in terms or ():
+            int_tuple(key, 2, "a monomial")
+        super().__init__(terms)
 
     @classmethod
     def scalar(cls, coeff: RationalFunction) -> "QTorusElement":

@@ -484,9 +484,7 @@ class RationalFunction:
         return _sum(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction(self.num - other.num)
-        return _sum(self.num, self.den, -other.num, other.den)
+        return self + -other
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.den.is_one() and other.den.is_one():

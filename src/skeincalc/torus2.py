@@ -52,7 +52,9 @@ class SkeinT2Element(Combination):
 
     @classmethod
     def curve(cls, p: int, q: int) -> "SkeinT2Element":
-        """The basis label for (p,q); (0,0) becomes twice the empty link."""
+        """The basis label for the ints (p,q); (0,0) becomes twice the empty link."""
+        if not type(p) is type(q) is int:
+            raise ValueError(f"a curve label must be 2 ints, got ({p!r}, {q!r})")
         if p == 0 and q == 0:
             return cls._raw({EMPTY: RationalFunction.from_int(2)})
         return cls._raw({canonical_pair(p, q): RationalFunction.one()})
@@ -79,12 +81,8 @@ class SkeinT2Element(Combination):
         return SkeinT2Element.collect(products())
 
 
-def curve(p: int, q: int) -> SkeinT2Element:
-    return SkeinT2Element.curve(p, q)
-
-
-def scalar(coeff: RationalFunction) -> SkeinT2Element:
-    return SkeinT2Element.scalar(coeff)
+curve = SkeinT2Element.curve
+scalar = SkeinT2Element.scalar
 
 
 def chebyshev_t(n: int, gamma: tuple[int, int]) -> SkeinT2Element:

@@ -28,6 +28,16 @@ def test_reduce_label_rejects_origin():
         reduce_label(0, 0)
 
 
+def test_constructor_refuses_keys_outside_the_five_classes():
+    one = RationalFunction.one()
+    for key in ((3, 1), (0, 2), (-1, 0), (True, 0), (1.0, 0), (1,), "ab"):
+        with pytest.raises(ValueError):
+            AbElement({key: one})
+    # (3,1) is a curve label, not a class: the quotient maps it onto (1,1).
+    assert reduce_element(curve(3, 1)) == AbElement({(1, 1): one})
+    assert AbElement({(2, 0): one, EMPTY: one}) == reduce_element(curve(4, 2) + scalar(one))
+
+
 def test_reduce_element_linearity():
     x = curve(3, 4).scale(a_pow(1)) + curve(1, 0)
     assert reduce_element(x) == AbElement({(1, 0): a_pow(1) + ONE})

@@ -62,7 +62,7 @@ def test_criterion_4_abelianization_closure():
 
 
 def test_criterion_5_commutator_certificates():
-    # verify_certificate expands every step through the product and checks the class
+    # verify_certificate replays every step on integer labels, with no product, and checks the class
     assert certificate_sweep(6) == (168, None)
     _report(5, "commutator certificates", "168 labels, 0 failures")
 

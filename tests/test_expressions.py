@@ -245,6 +245,37 @@ def test_decimal_digits_of_any_script_parse():
     assert parse_element("\u0661*(1,\u0660)") == curve(1, 0)
 
 
+# Digits int() reads and two it refuses, letters, the eight one-character
+# tokens and the four blanks.
+_SCAN_ALPHABET = list("0123456789\u0663\u00b2\u00bdAx_+-*/^(),") + [" ", " ", " ", "\t", "\r", "\n"]
+_BLANKS = str.maketrans("", "", " \t\r\n")
+_SINGLES = set("+-*/^(),")  # each is its own kind
+
+
+def test_tokens_point_at_their_text_seeded():
+    rng = random.Random(23)
+    scanned = refused = literals = 0
+    for _ in range(2000):
+        source = "".join(rng.choice(_SCAN_ALPHABET) for _ in range(rng.randint(0, 30)))
+        lines = source.split("\n")
+        try:
+            tokens = tokenize(source)
+        except ExpressionError as err:
+            # The error names the character at its own line and column.
+            ch = lines[err.line - 1][err.col - 1]
+            assert str(err).endswith(f"unexpected character {ch!r}"), source
+            refused += 1
+            continue
+        for kind, text, line, col in tokens:
+            assert lines[line - 1][col - 1 : col - 1 + len(text)] == text, (source, text)
+            assert kind == text if text in _SINGLES else kind in ("POLY", "LABEL", "INT", "NAME", "EOF")
+        assert tokens[-1] == ("EOF", "", len(lines), len(lines[-1]) + 1), source
+        assert "".join(tok[1] for tok in tokens).translate(_BLANKS) == source.translate(_BLANKS), source
+        scanned += 1
+        literals += any(tok[0] in ("POLY", "LABEL") for tok in tokens)
+    assert scanned > 200 and refused > 200 and literals
+
+
 def test_nesting_depth_is_bounded():
     deep = MAX_DEPTH + 1
     assert parse_element("(" * MAX_DEPTH + "(1,0)" + ")" * MAX_DEPTH) == curve(1, 0)

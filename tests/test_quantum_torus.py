@@ -11,6 +11,14 @@ def mono(p, q, coeff=None):
     return QTorusElement.monomial(p, q, coeff)
 
 
+def test_constructor_refuses_keys_that_are_not_pairs_of_ints():
+    one = RationalFunction.one()
+    for key in ((1,), (1, 0, 0), (True, 0), (1.0, 0), "ab", None):
+        with pytest.raises(ValueError, match="monomial must be 2 ints"):
+            QTorusElement({key: one})
+    assert QTorusElement({(3, -1): one, (0, 0): one}) == mono(3, -1) + QTorusElement.one()
+
+
 def test_commutation_rule():
     # m * l = A^-2 * l * m
     assert mono(0, 1) * mono(1, 0) == mono(1, 1, a_pow(-2))

@@ -24,6 +24,14 @@ def test_make_curve_zero_label():
     assert curve(0, 0).terms == {EMPTY: TWO}
 
 
+@pytest.mark.parametrize("p, q", [(1.0, 0), (True, 2), (0, False), ("1", 0), (None, 1)])
+def test_curve_refuses_entries_that_are_not_ints(p, q):
+    # A bool or float would pass canonical_pair and print as (True,2) or (1.0,0).
+    with pytest.raises(ValueError, match="must be 2 ints"):
+        curve(p, q)
+    assert curve(0, 0) == scalar(TWO)
+
+
 def test_make_curve_sign_canonicalization():
     assert curve(-1, 2).terms == {(1, -2): RationalFunction.one()}
     assert curve(0, -3).terms == {(0, 3): RationalFunction.one()}
@@ -56,6 +64,17 @@ def test_constructor_refuses_coefficients_that_are_not_rational_functions():
     for coeff in (1, 0, 1.5, "A"):
         with pytest.raises(TypeError, match="must be RationalFunctions"):
             SkeinT2Element({(1, 0): coeff})
+
+
+def test_scale_takes_a_unit_coefficient_whole():
+    # A bare label's coefficient is RationalFunction.one(), so c*(p,q) takes c
+    # itself, with no product.
+    c = (a_pow(2) + TWO).inverse()
+    assert curve(1, 0).scale(c).terms[(1, 0)] is c
+    assert curve(1, 0).scale(RationalFunction.zero()) == SkeinT2Element.zero()
+    x = curve(1, 0).scale(a_pow(1)) + curve(0, 1) + scalar(TWO)
+    assert x.scale(c).terms == {(1, 0): a_pow(1) * c, (0, 1): c, EMPTY: TWO * c}
+    assert x.scale(RationalFunction.zero()).is_zero()
 
 
 def test_collect_drops_cancelling_keys_like_the_constructor():
