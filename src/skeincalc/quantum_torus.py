@@ -93,8 +93,9 @@ def _by_coeff(x: QTorusElement):
 
 
 # embed_element shifts coefficients itself and does not call this; the
-# bound keeps memory flat however many labels a caller asks for.
-@lru_cache(maxsize=4096)
+# bound keeps memory flat however many labels a caller asks for.  Typed, so
+# that True, which equals 1, reaches the check rather than the cached label.
+@lru_cache(maxsize=4096, typed=True)
 def embed_curve(p: int, q: int) -> QTorusElement:
     """Image of the (p,q) curve label: A^(-pq) * (l^p m^q + l^-p m^-q).
 
@@ -103,6 +104,7 @@ def embed_curve(p: int, q: int) -> QTorusElement:
     the commutation rule above (the oracle sweep checks this exhaustively).
     (0,0) maps to the scalar 2, matching the empty-link convention.
     """
+    int_tuple((p, q), 2, "a curve label")
     if p == 0 and q == 0:
         return QTorusElement.scalar(RationalFunction.from_int(2))
     c = RationalFunction.one().shift(-p * q)

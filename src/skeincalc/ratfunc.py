@@ -12,19 +12,19 @@ one representation, so equality never needs simplification.
 Every cancellation goes through _cancel(n, b), for an ordinary monic
 denominator b with nonzero constant term.  It divides n and b by
 gcd(ord n, b), where ord p is p without its power of A; b has no factor
-A, so only ord n can meet it.  Three structural cases take no gcd.  A
-numerator with at most one term, or a denominator of 1, shares no
-factor.  When ord n = q * b for a constant q (the same term count, and q
-times each term of b is the term of ord n at that exponent), b divides
-ord n, so the monic gcd is b itself: both quotients are exact, q and 1,
-and n/b is q * A^w over 1, w the lowest exponent of n.  That is the
-commutator scale 1/(A^k - A^-k) meeting a coefficient +-(A^k - A^-k),
-cancelled with no gcd or division.  The public
-RationalFunction constructor moves the power of A out of the
-denominator, makes it monic, then calls _cancel.  The field operations
-start from canonical operands, so they call _cancel only where a common
-factor can exist (Henrici's method; Knuth, TAOCP vol. 2, 4.5.1).  Write
-x = a/b and y = c/d.
+A, so only ord n can meet it (a unit binomial b folds n itself, below).
+Three structural cases take no gcd.  A numerator with at most one term,
+or a denominator of 1, shares no factor.  When ord n = q * b for a
+constant q (the same term count, and q times each term of b is the term
+of ord n at that exponent), b divides ord n, so the monic gcd is b
+itself: both quotients are exact, q and 1, and n/b is q * A^w over 1, w
+the lowest exponent of n.  That is the commutator scale 1/(A^k - A^-k)
+meeting a coefficient +-(A^k - A^-k), cancelled with no gcd or
+division.  The public RationalFunction constructor moves the power of A
+out of the denominator, makes it monic, then calls _cancel.  The field
+operations start from canonical operands, so they call _cancel only
+where a common factor can exist (Henrici's method; Knuth, TAOCP vol. 2,
+4.5.1).  Write x = a/b and y = c/d.
   * x * y divides out gcd(ord a, d) and gcd(ord c, b), skipping each when
     the numerator is a monomial or the denominator is 1; nothing else can
     cancel, because a is already coprime to b and c to d.
@@ -43,7 +43,29 @@ x = a/b and y = c/d.
 When both operands are over 1 the result is the plain Laurent-polynomial
 sum or product, which is canonical as it stands.
 
-poly_gcd is one Euclidean algorithm over Z, Collins' primitive remainder
+poly_gcd first looks for a unit binomial u = A^n + c, c = +-1, up to a
+constant factor: every commutator scale 1/(A^d - A^-d) = A^d/(A^2d - 1)
+and the denominators 1 +- A^j have one.  It folds the other operand f
+modulo u: A^n = -c there, so x * A^e becomes (-c)^(e // n) * x *
+A^(e mod n), also for e < 0, since A is a unit modulo u.  The fold r has
+degree below n, no more terms than f, and gcd(f, u) = gcd(r, u) however
+far apart the degrees are.  r = 0 gives u, and one term gives 1.  Two
+terms are A^s (alpha A^k + beta), and A^s is prime to u.  The roots of u
+lie on the unit circle and, when |alpha| != |beta|, no root of
+alpha A^k + beta does, so the gcd is 1; when alpha = +-beta it is the gcd
+of two unit binomials, in closed form for g = gcd(n, k).  A common root z
+has z^2n = z^2k = 1, hence z^g = +-1.  If z^g = 1 then z^m = 1 for m = n
+and k, so gcd(A^n - 1, A^k - 1) = A^g - 1, and a binomial A^m + 1 has no
+such root.  If z^g = -1 then z^m = (-1)^(m/g): every root of A^g + 1 is a
+root of A^m + 1 when m/g is odd and of A^m - 1 when it is even, and of
+neither otherwise.  All these binomials are squarefree, so
+gcd(A^n + 1, A^k + 1) is A^g + 1 when n/g and k/g are both odd, and
+gcd(A^n + 1, A^k - 1) is A^g + 1 when k/g is even; otherwise it is 1.  A
+fold of three or more terms goes on to the steps below with (r, u).
+Deciding whether two sparse polynomials share a factor is NP-hard
+(Plaisted, JCSS 14, 1977), so only binomials take this path.
+
+The rest is one Euclidean algorithm over Z, Collins' primitive remainder
 sequence (Knuth, TAOCP vol. 2, 4.6.1).  Each operand is put over the
 common denominator of its coefficients and divided by its content, which
 leaves its monic gcd as it is.  Then (f, g) becomes (g, pp(r)), for the
@@ -63,7 +85,9 @@ values.  Each root r of h is one of b, so |r| < 1 + max|b_i| (Cauchy's
 bound), |x - r| > 2 and |h(x)| >= 2.  The cap keeps the values small: a
 larger degree runs the sequence, which builds no power of x.  Canonical
 denominators and gcds are monic, and _poly_exact_div divides by a monic
-divisor with no Fraction.
+divisor with no Fraction.  The sequence's coefficient list and an exact
+division's maps hold at most _BUDGET = 10^7 coefficients: past it they
+raise MemoryError before they are built, and the CLI says "out of memory".
 
 Coefficients are exact rationals of arbitrary precision, stored in one
 type per value: an integral coefficient is an int, any other a
@@ -131,7 +155,10 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[int, int | Fraction] | None = None):
-        # Coefficients become ints or Fractions (floats are refused); zeros are dropped.
+        # Exponents must be ints; coefficients become ints or Fractions (floats
+        # are refused); zeros are dropped.
+        if terms and any(type(e) is not int for e in terms):
+            raise ValueError(f"exponents must be ints, got {list(terms)!r}")
         self.terms = {} if not terms else {e: x for e, c in terms.items() if (x := _exact(c))}
 
     @classmethod
@@ -279,9 +306,18 @@ def _primitive(p: list[int]) -> list[int]:
     return p if c == 1 else [x // c for x in p]
 
 
+# The most coefficients a dense list or an exact division may hold: past it
+# _primitive_part and _poly_exact_div raise MemoryError before they allocate.
+# _prem builds no list longer than its operand f, which _primitive_part built.
+_BUDGET = 10**7
+
+
 def _primitive_part(a: LaurentPoly) -> list[int]:
     # The ordinary polynomial a over its common denominator, as _primitive.
-    p = [0] * (max(a.terms, default=-1) + 1)
+    top = max(a.terms, default=-1)
+    if top >= _BUDGET:
+        raise MemoryError(f"a dense polynomial of degree {top} is past the size budget")
+    p = [0] * (top + 1)
     for e, n in _over_common_den(a.terms)[1]:
         p[-1 - e] = n
     return _primitive(p)
@@ -325,14 +361,75 @@ def _coprime_at_points(a: dict[int, int | Fraction], b: dict[int, int | Fraction
     return False
 
 
+def _unit_binomial(t: dict[int, int | Fraction]) -> tuple[int, int] | None:
+    # (n, c) when t is a nonzero multiple of A^n + c, n >= 1 and c = +-1.
+    if len(t) == 2 and 0 in t:
+        n, m = t
+        n = n or m
+        x, y = t[0], t[n]
+        if n > 0 and (x == y or x == -y):
+            return n, 1 if x == y else -1
+    return None
+
+
+def _binomial_gcd(r: dict[int, int | Fraction], n: int, c: int) -> LaurentPoly:
+    # gcd(r, A^n + c) for r of at most two terms, all of degree below n.
+    if not r:
+        return LaurentPoly._raw({n: 1, 0: c})
+    if len(r) == 2:
+        # A^s (x A^k + y) or A^s (y A^k + x): +-1 = y/x = x/y either way.
+        (s, x), (t, y) = r.items()
+        if x == y or x == -y:
+            k, c2 = abs(t - s), 1 if x == y else -1
+            g = gcd(n, k)
+            if c == c2 == -1:
+                return LaurentPoly._raw({g: 1, 0: -1})
+            # A^g + 1 divides A^m + 1 when m/g is odd and A^m - 1 when it is even.
+            if (n // g) & 1 == (c == 1) and (k // g) & 1 == (c2 == 1):
+                return LaurentPoly._raw({g: 1, 0: 1})
+    return _LP_ONE
+
+
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd of two ordinary polynomials, 0 when both are 0.
 
-    1 when the point test of the module docstring proves it, else the
-    primitive remainder sequence over Z.
+    When one operand is a multiple of a unit binomial u = A^n + c, c = +-1,
+    the other may be any Laurent polynomial: A^n = -c folds it to r of
+    degree below n.  r = 0 gives u and one term gives 1.  alpha A^t + beta A^s
+    gives 1 when |alpha| != |beta|, since the roots of u lie on |z| = 1 and
+    those of alpha A^(t-s) + beta do not; else, for k = t - s and g =
+    gcd(n, k), gcd(A^n - 1, A^k - 1) = A^g - 1, and A^g + 1 is the gcd when
+    it divides both, that is A^m + 1 with m/g odd or A^m - 1 with m/g even
+    (their common roots are those of A^g +- 1).  A longer r goes on with
+    (r, u).  Then 1 when the point test proves it, else the primitive
+    remainder sequence over Z (module docstring).
     """
+    u = _unit_binomial(b.terms)
+    if u is None and (u := _unit_binomial(a.terms)) is not None:
+        a, b = b, a
+    if u is not None:
+        n, c = u
+        r: dict[int, int | Fraction] = {}
+        for e, x in a.terms.items():
+            q, e = divmod(e, n)
+            if q & 1 and c == 1:
+                x = -x
+            if e not in r:
+                r[e] = x
+            elif s := r[e] + x:
+                r[e] = _norm(s)
+            else:
+                del r[e]
+        if len(r) < 3:
+            return _binomial_gcd(r, n, c)
+        a = LaurentPoly._raw(r)
     if _coprime_at_points(a.terms, b.terms):
         return _LP_ONE
+    return _sequence_gcd(a, b)
+
+
+def _sequence_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    # The monic gcd of two ordinary polynomials by the primitive remainder sequence.
     f, g = _primitive_part(a), _primitive_part(b)
     if len(f) < len(g):
         f, g = g, f
@@ -354,6 +451,8 @@ def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     db = b.max_exp()
     lb = b.terms[db]
     while rem:
+        if len(rem) + len(quo) > _BUDGET:
+            raise MemoryError("an exact division is past the size budget")
         d = max(rem)
         if d < db:
             raise ArithmeticError("polynomial division is not exact")
@@ -389,17 +488,17 @@ def _cancel(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     # denominator of 1 shares no factor, and ord num = q * den cancels whole.
     if den.is_one() or len(num.terms) <= 1:
         return num, den
-    w = num.min_exp()
-    num_ord = num.shift(-w)
-    terms = num_ord.terms
+    terms = num.terms
+    w = min(terms)
     if len(terms) == len(den.terms):
-        q = terms.get(den.max_exp(), 0)
-        if all(terms.get(e) == q * x for e, x in den.terms.items()):
+        q = terms.get(den.max_exp() + w, 0)
+        if all(terms.get(e + w) == q * x for e, x in den.terms.items()):
             return LaurentPoly._raw({w: q}), _LP_ONE
-    g = poly_gcd(num_ord, den)
+    # poly_gcd folds a Laurent num modulo a unit-binomial den as it stands.
+    g = poly_gcd(num if _unit_binomial(den.terms) else num.shift(-w), den)
     if g.is_one():
         return num, den
-    return _poly_exact_div(num_ord, g).shift(w), _poly_exact_div(den, g)
+    return _poly_exact_div(num.shift(-w), g).shift(w), _poly_exact_div(den, g)
 
 
 def _sum(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly) -> "RationalFunction":
@@ -471,6 +570,8 @@ class RationalFunction:
 
     def shift(self, k: int) -> "RationalFunction":
         """Multiply by A^k: num * A^k over the same den, with no gcd and no product."""
+        if type(k) is not int:
+            raise ValueError(f"the exponent of A must be an int, got {k!r}")
         if not k:
             return self
         return RationalFunction._raw(self.num.shift(k), self.den)
@@ -524,8 +625,9 @@ _RF_ONE = RationalFunction(_LP_ONE)
 
 # Products and framing twists scale by powers of A with RationalFunction.shift
 # and never call this; parsed powers A^k do, and the bound keeps a long run
-# on parsed exponents from growing without limit.
-@lru_cache(maxsize=4096)
+# on parsed exponents from growing without limit.  Typed, so that True, which
+# equals 1, reaches the check rather than the cached A^1.
+@lru_cache(maxsize=4096, typed=True)
 def a_pow(k: int) -> RationalFunction:
     """The monomial A^k as a rational function (values are shared, immutable)."""
     return RationalFunction(LaurentPoly.monomial(k))

@@ -127,6 +127,8 @@ def t_to_jw(n: int) -> dict[int, int]:
 
 def framing_twist(x: SkeinT2Element, k: int) -> SkeinT2Element:
     """Multiply by (-A^3)^k, the effect of k positive framing twists: a shift and a sign."""
+    if type(k) is not int:
+        raise ValueError(f"the number of framing twists must be an int, got {k!r}")
     return SkeinT2Element._raw(
         {label: -c.shift(3 * k) if k % 2 else c.shift(3 * k) for label, c in x.terms.items()}
     )

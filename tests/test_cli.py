@@ -339,23 +339,46 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # 1 GiB
 
 
-@pytest.mark.parametrize(
-    "expr",
-    [
-        "(A+1)*(1,0)/(1 + A^200000000)",  # a gcd in the constructor
-        "(1,0)/(1 + A^200000000) + (1,0)/(1 - A^3)",  # a gcd in a sum
-    ],
-)
-def test_out_of_memory_exits_2_without_traceback(expr):
-    # A gcd of degree 2*10^8 needs more memory than the limit allows.
-    done = subprocess.run(
+def _reduce_t2_limited(expr: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, "-m", "skeincalc.cli", "reduce-t2", expr],
         capture_output=True, text=True, env=_child_env(), timeout=120,
         preexec_fn=_limit_address_space,
     )
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(A^2+A+1)*(1,0)/(1 + A + A^200000000)",  # a gcd in the constructor
+        "(1,0)/(1 + A + A^200000000) + (1,0)/(1 + A + A^3)",  # a gcd in a sum
+    ],
+)
+def test_out_of_memory_exits_2_without_traceback(expr):
+    # A trinomial denominator of degree 2*10^8 takes the dense remainder
+    # sequence, whose list is past the size budget.
+    done = _reduce_t2_limited(expr)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "expr, want",
+    [
+        ("(A+1)*(1,0)/(1 + A^200000000)", "((A + 1)/(A^200000000 + 1))*(1,0)"),
+        (
+            "(1,0)/(1 + A^200000000) + (1,0)/(1 - A^3)",
+            "((-A^200000000 + A^3 - 2)/(A^200000003 - A^200000000 + A^3 - 1))*(1,0)",
+        ),
+    ],
+    ids=["(A+1)*(1,0)/(1 + A^200000000)", "(1,0)/(1 + A^200000000) + (1,0)/(1 - A^3)"],
+)
+def test_unit_binomial_inputs_answer(expr, want):
+    # gcds against A^n + 1 and A^3 - 1 fold the other operand below degree n
+    # or 3, so no dense list of degree 2*10^8 is built.
+    done = _reduce_t2_limited(expr)
+    assert (done.returncode, done.stdout, done.stderr) == (0, want + "\n", "")
 
 
 def test_sparse_huge_exponent_answers(capsys):

@@ -1,8 +1,11 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from skeincalc import ratfunc
 from skeincalc.expressions import parse_scalar
 from skeincalc.quantum_torus import embed_curve
 from skeincalc.ratfunc import (
@@ -11,9 +14,11 @@ from skeincalc.ratfunc import (
     RationalFunction,
     _coprime_at_points,
     _poly_exact_div,
+    _sequence_gcd,
     a_pow,
     poly_gcd,
 )
+from skeincalc.torus2 import curve, framing_twist
 
 ZERO = RationalFunction.zero()
 ONE = RationalFunction.one()
@@ -456,33 +461,31 @@ def test_operations_match_sympy_normal_forms():
 P = (1 << 61) - 1  # a large prime: pA + 1 and A + 1/p carry large and fractional coefficients
 
 
-def _euclid_gcd(a, b):
-    """Monic gcd of {exponent: coefficient} maps by the textbook Euclid over Q."""
+def _euclid_rem(a, b):
+    """The remainder of a divided by b, nonzero, for {exponent: coefficient} maps."""
     # Over Fraction, so that a / b of two int coefficients stays exact.
     a = {e: Fraction(c) for e, c in a.items()}
+    db = max(b)
+    while a and max(a) >= db:
+        da = max(a)
+        q = a[da] / b[db]
+        for e, c in b.items():
+            k = e + da - db
+            a[k] = a.get(k, Fraction(0)) - q * c
+            if not a[k]:
+                del a[k]
+    return a
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd of {exponent: coefficient} maps by the textbook Euclid over Q."""
+    a = {e: Fraction(c) for e, c in a.items()}
     b = {e: Fraction(c) for e, c in b.items()}
-
-    def deg(p):
-        return max(p) if p else -1
-
-    def rem(a, b):
-        a = dict(a)
-        db, lb = deg(b), b[deg(b)]
-        while a and deg(a) >= db:
-            da = deg(a)
-            q = a[da] / lb
-            for e, c in b.items():
-                k = e + da - db
-                a[k] = a.get(k, Fraction(0)) - q * c
-                if not a[k]:
-                    del a[k]
-        return a
-
     while b:
-        a, b = b, rem(a, b)
+        a, b = b, _euclid_rem(a, b)
     if not a:
         return {}
-    lc = a[deg(a)]
+    lc = a[max(a)]
     return {e: c / lc for e, c in a.items()}
 
 
@@ -639,3 +642,108 @@ def test_modulus_edges_reduce_through_constructor_and_parser():
         assert x.den.max_exp() == 1
         assert x * RationalFunction(b) == RationalFunction(a)
         assert parse_scalar(f"({a})/({b})") == x
+
+
+# ---- gcds against a unit binomial A^n + c: the fold and its closed forms
+
+
+def _ord(t):
+    w = min(t, default=0)
+    return {e - w: c for e, c in t.items()}
+
+
+def _unit_binomial_pairs(rng):
+    # Every pair of A^m + c and A^n + c' of degree up to 12, then sparse f
+    # against multiples of A^n +- 1: int and Fraction coefficients, negative
+    # exponents, and often a planted divisor of u, so that the fold of f
+    # modulo u has 0, 1, 2 or more terms.
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for c in (1, -1):
+                for c2 in (1, -1):
+                    yield LaurentPoly({m: 1, 0: c}), LaurentPoly({n: 1, 0: c2})
+    for _ in range(1500):
+        n, c = rng.randint(1, 12), rng.choice((1, -1))
+        s = rng.choice((1, 1, -1, 2, Fraction(-1, 3)))
+        u = LaurentPoly({n: s, 0: s * c})
+        coeffs = (rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.choice((2, 3))))
+        f = LaurentPoly({rng.randint(-25, 40): rng.choice(coeffs) for _ in range(rng.randint(0, 5))})
+        kind = rng.randrange(4)
+        if kind == 1:  # a multiple of u, or of a binomial A^g +- 1 that may divide it
+            g = rng.randint(1, n)
+            f = f * LaurentPoly({g: 1, 0: rng.choice((1, -1))}) if rng.random() < 0.7 else f * u
+        elif kind == 2:  # a binomial alpha^2 * A^(k+s) + alpha * beta * A^s, often |alpha| = |beta|
+            k, alpha = rng.randint(1, 30), rng.choice((1, -2, Fraction(1, 3)))
+            beta = rng.choice((alpha, -alpha, 3 * alpha))
+            f = LaurentPoly({rng.randint(-9, 9): alpha}) * LaurentPoly({k: alpha, 0: beta})
+        elif kind == 3:  # one term plus a multiple of u
+            f = LaurentPoly({rng.randint(-9, 30): rng.randint(1, 3)}) + f * u
+        yield f, u
+
+
+def test_unit_binomial_gcd_matches_euclid_and_the_sequence():
+    folds, closed = set(), set()
+    for f, u in _unit_binomial_pairs(random.Random(29)):
+        want = _euclid_gcd(_ord(f.terms), u.terms)
+        assert _sequence_gcd(LaurentPoly(_ord(f.terms)), u).terms == want, (f, u)
+        assert poly_gcd(f, u).terms == want, (f, u)
+        assert poly_gcd(u, f).terms == want, (f, u)
+        r = _euclid_rem(_ord(f.terms), u.terms)
+        folds.add(min(len(r), 3))
+        if len(r) == 2:  # the closed forms 1, A^g + 1 and A^g - 1
+            closed.add((len(want), want[0]))
+    assert folds == {0, 1, 2, 3}
+    assert closed == {(1, 1), (2, 1), (2, -1)}
+
+
+# ---- the size budget: a dense list or exact division past it is refused before it is built
+
+
+def test_trinomial_denominator_past_the_budget_refuses_without_allocating():
+    # A trinomial takes the dense remainder sequence: its list of 2*10^7 + 1
+    # coefficients, about 160 MB, is past the budget and never built.
+    num = LaurentPoly({0: 1, 1: 1, 2: 1})
+    den = LaurentPoly({0: 1, 1: 1, 20_000_000: 1})
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(MemoryError):
+            RationalFunction(num, den)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 1 << 20
+
+
+def test_exact_division_stops_at_the_budget(monkeypatch):
+    monkeypatch.setattr(ratfunc, "_BUDGET", 1000)
+    a_minus_1 = LaurentPoly({1: 1, 0: -1})
+    with pytest.raises(MemoryError):  # a quotient of 2,000 terms
+        _poly_exact_div(LaurentPoly({2000: 1, 0: -1}), a_minus_1)
+    # A sparse quotient of any degree stays inside it.
+    huge = LaurentPoly({10**9: 1, 0: -1})
+    assert _poly_exact_div(huge * LaurentPoly({10**9: 1, 0: 1}), huge).terms == {10**9: 1, 0: 1}
+
+
+# ---- exponents are ints: a bool or float exponent is refused, never read as 1 or 1.5
+
+
+def test_exponents_must_be_ints():
+    x = curve(1, 0)
+    embed_curve(1, 0)
+    a_pow(1)  # True equals 1: the cached values must not answer for it
+    calls = [
+        lambda: embed_curve(True, 0),
+        lambda: embed_curve(1.5, 2),
+        lambda: a_pow(True),
+        lambda: a_pow(1.5),
+        lambda: ONE.shift(0.5),
+        lambda: ONE.shift(True),
+        lambda: LaurentPoly({1.5: 1}),
+        lambda: framing_twist(x, 1.5),
+        lambda: framing_twist(x.scale(ZERO), 1.5),  # refused with no term to shift
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
