@@ -3,7 +3,8 @@
 Subcommands: mul, reduce-t2, abelianize, certify-ab, reduce-t3,
 common-curve, generators, grade, oracle-check, closure-check, selftest.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure or closed stdout, 2 usage, parse error or out of memory.
+1 verification failure or closed stdout, 2 usage, parse error or out of memory,
+130 interrupted (Ctrl-C).
 oracle-check, closure-check and selftest run the sweeps of skeincalc.checks
 and take --box N; a box below 1 is a usage error.
 """
@@ -298,7 +299,8 @@ def main(argv=None) -> int:
 
 
 def console_main() -> int:
-    """main() for a process of its own: a closed stdout ends it with exit 1.
+    """main() for a process of its own: a closed stdout ends it with exit 1,
+    and an interrupt (SIGINT) with exit 130 and no traceback.
 
     As in the note on SIGPIPE in the signal module's documentation, stdout is
     flushed inside the handler, then pointed at devnull so exit cannot fail.
@@ -310,6 +312,8 @@ def console_main() -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

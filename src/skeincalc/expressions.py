@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for skein expressions.
+"""Flat-sum reader, tokenizer and recursive-descent parser for skein expressions.
 
 Grammar, lowest to highest precedence:
 
@@ -27,31 +27,26 @@ costs one pass and not a copy of the map per '+'.  Scalars are central
 and canonical forms are unique, so the result is the same canonical
 element as evaluating everything in the skein algebra.
 
-A parenthesized Laurent polynomial with integer coefficients, such as
-(2*A^-5 - A + 3), is scanned as one POLY token: '(' then signed
-monomials c, A^e or c*A^e joined by '+' or '-', then ')', with spaces
-as the only blanks.  The parser sums its terms straight into the
-polynomial's coefficient map, with no product or sum per monomial, and
-takes it over 1.  A curve label with spaces as its only blanks, such as
-( -1, 2), is one LABEL token, which the parser turns into curve(p, q)
-directly.  Each value is the one the grammar gives the same text.  Any
-other text at a '(' (a tab or newline, a '/', a malformed power) is left
-to the grammar token by token.  A rendered coefficient with int
-coefficients is made of literals, but one with fractions is not:
-(2*A)/(4*A^2 + 2)*(1,0) renders as ((1/2*A)/(A^2 + 1/2))*(1,0), read
-through the grammar.
+Every element renders as a flat sum: terms (N)*L or ((N)/(D))*L joined
+by ' + ', N and D integer Laurent polynomials spelled as they render
+(2*A^-5 - A + 3), L a curve label (p,q) or 'empty'.  parse_element first
+reads the whole text as such a sum, also with (N)/(D)*L terms, through
+one compiled pattern: each term is RationalFunction(N, D) as the
+coefficient of its label (Combination.scale, so (0,0) is twice empty),
+summed into one map.  Any other text, and any the reader cannot finish
+(a zero denominator, a literal past int's digit limit), goes to the
+grammar unchanged, so every value, error and position is the grammar's.
 
 Nesting through '(' and unary minus is bounded by MAX_DEPTH, so a deep
-input ends in an ExpressionError rather than a RecursionError.  A
-literal is as deep as the grammar nests it: one level for its '(' and
-one more for a leading minus.  Errors carry the line, column and
-offending token; a literal or label is named by its '('.
+input ends in an ExpressionError rather than a RecursionError.  An
+integer literal longer than MAX_DIGITS digits is refused as it is
+scanned.  Errors carry the line, column and offending token.
 
 The scanner is one regular expression, read with one findall per
 source: each match is a token's leading blanks and then its text, so a
 column is a sum of lengths.  A token is a plain (kind, text, line, col)
-tuple; POLY, LABEL, INT, NAME and EOF are kinds, and a one-character
-token such as '+' or '(' is its own kind.
+tuple; INT, NAME and EOF are kinds, and a one-character token such as
+'+' or '(' is its own kind.
 """
 
 from __future__ import annotations
@@ -69,6 +64,9 @@ from .torus2 import EMPTY, SkeinT2Element
 # below the interpreter's recursion limit.
 MAX_DEPTH = 100
 
+# Longest integer literal accepted: int()'s default limit on decimal text.
+MAX_DIGITS = 4300
+
 # A parsed subexpression: a Q(A) scalar until it meets a curve label, an
 # element from then on.
 Value = RationalFunction | SkeinT2Element
@@ -76,23 +74,26 @@ Value = RationalFunction | SkeinT2Element
 Token = tuple[str, str, int, int]  # (kind, text, line, col)
 
 
-# The text of a POLY token, a Laurent-polynomial literal (module docstring).
-_MONO = r"(?:\d+(?: *\* *A(?: *\^ *-? *\d+)?)?|A(?: *\^ *-? *\d+)?)"
-_LITERAL = rf"\( *-? *{_MONO}(?: *[+-] *{_MONO})* *\)"
-# The text of a LABEL token, a curve label with spaces as its only blanks.
-_LABEL = r"\( *-? *\d+ *, *-? *\d+ *\)"
-# One token after its blanks: a literal, a label, an INT (exactly the digits
-# int() accepts), a NAME, a one-character token, a newline, any other
-# character, or the end of the source.
-_TOKEN = re.compile(
-    rf"([ \t\r]*)(?:({_LITERAL})|({_LABEL})|(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\n)|([^ \t\r])|\Z)"
+# One token after its blanks: an INT (exactly the digits int() accepts), a
+# NAME, a one-character token, a newline, any other character, or the end of
+# the source.
+_TOKEN = re.compile(r"([ \t\r]*)(?:(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\n)|([^ \t\r])|\Z)")
+
+# A Laurent polynomial with integer coefficients as it renders: signed
+# monomials c, A, A^e, c*A or c*A^e joined by ' + ' or ' - '.
+_MONO = r"(?:\d+(?:\*A(?:\^-?\d+)?)?|A(?:\^-?\d+)?)"
+_POLY = rf"-?{_MONO}(?: [+-] {_MONO})*"
+# One flat-sum term (module docstring): its text, the optional outer '(', N,
+# D, and the label's p and q (empty for 'empty').
+_FLAT_TERM = re.compile(
+    rf"((\()?\(({_POLY})\)(?:/\(({_POLY})\))?(?(2)\))\*(?:\((-?\d+),(-?\d+)\)|empty))"
 )
 
 
 def tokenize(source: str) -> list[Token]:
     tokens = []
     line = col = 1
-    for blanks, poly, label, digits, name, single, newline, other in _TOKEN.findall(source):
+    for blanks, digits, name, single, newline, other in _TOKEN.findall(source):
         col += len(blanks)
         if single:
             tokens.append((single, single, line, col))
@@ -102,9 +103,10 @@ def tokenize(source: str) -> list[Token]:
         elif other or name and not (name[0].isalpha() or name[0] == "_"):
             # [^\W\d] also takes a numeric character int() refuses, such as '\u00b2'.
             raise ExpressionError(line, col, f"unexpected character {(other or name)[0]!r}")
-        elif text := poly or label or digits or name:
-            kind = "POLY" if poly else "LABEL" if label else "INT" if digits else "NAME"
-            tokens.append((kind, text, line, col))
+        elif text := digits or name:
+            if len(digits) > MAX_DIGITS:
+                raise ExpressionError(line, col, f"integer literal longer than {MAX_DIGITS} digits")
+            tokens.append(("INT" if digits else "NAME", text, line, col))
             col += len(text)
         else:
             break  # the end of the source
@@ -112,15 +114,12 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def _literal(text: str) -> RationalFunction:
-    # The Laurent polynomial a POLY token spells, over 1, summed term by term:
-    # each signed monomial c, [c*]A or [c*]A^e after splitting the body at '+'.
+def _literal(text: str) -> LaurentPoly:
+    # The Laurent polynomial _POLY matched, summed term by term: each signed
+    # monomial c, [c*]A or [c*]A^e between the ' + ' separators.
     acc: dict[int, int] = {}
     get = acc.get
-    body = text[1:-1].replace(" ", "").replace("-", "+-").replace("^+-", "^-")
-    for mono in body.split("+"):
-        if not mono:
-            continue  # before a leading sign
+    for mono in text.replace(" - ", " + -").split(" + "):
         c, a, e = mono.partition("A")
         if a:
             e = int(e[1:]) if e else 1
@@ -128,7 +127,7 @@ def _literal(text: str) -> RationalFunction:
         else:
             e, c = 0, int(c)
         acc[e] = get(e, 0) + c
-    return RationalFunction(LaurentPoly._raw({e: c for e, c in acc.items() if c}))
+    return LaurentPoly._raw({e: c for e, c in acc.items() if c})
 
 
 class _Parser:
@@ -152,11 +151,11 @@ class _Parser:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok[0] != kind:
-            raise ExpressionError(tok[2], tok[3], f"expected {what}, found {_shown(tok)!r}")
+            raise ExpressionError(tok[2], tok[3], f"expected {what}, found {tok[1] or 'end of input'!r}")
         return self.advance()
 
     def fail(self, tok: Token, message: str):
-        raise ExpressionError(tok[2], tok[3], f"{message} (near {_shown(tok)!r})")
+        raise ExpressionError(tok[2], tok[3], f"{message} (near {tok[1] or 'end of input'!r})")
 
     def _nest(self, tok: Token) -> None:
         # One level deeper, through '(' or a unary minus.
@@ -237,10 +236,6 @@ class _Parser:
     def atom(self) -> Value:
         tok = self.tokens[self.pos]
         kind, text, _, _ = tok
-        if kind == "LABEL":
-            self.pos += 1
-            p, q = text[1:-1].replace(" ", "").split(",")
-            return SkeinT2Element.curve(int(p), int(q))
         if kind == "INT":
             self.pos += 1
             return RationalFunction.from_int(int(text))
@@ -255,17 +250,6 @@ class _Parser:
             if text == "empty":
                 return RationalFunction.one()
             self.fail(tok, f"unknown name {text!r}")
-        if kind == "POLY":
-            # As deep as the grammar would nest it: one level for the '(' and
-            # one more for a leading unary minus, reported at that '-'.
-            self._nest(tok)
-            body = text[1:].lstrip(" ")
-            if body[0] == "-":
-                self._nest(("-", "-", tok[2], tok[3] + len(text) - len(body)))
-                self.depth -= 1
-            self.depth -= 1
-            self.pos += 1
-            return _literal(text)
         if kind == "(":
             # Curve label when an integer then a comma follow.
             k = 1 if self.peek(1)[0] != "-" else 2
@@ -285,12 +269,6 @@ class _Parser:
         self.fail(tok, "expected a number, 'A', 'empty', a curve label or '('")
 
 
-def _shown(tok: Token) -> str:
-    # A token as an error message names it; a literal or label by its '('.
-    kind, text = tok[0], tok[1]
-    return "(" if kind == "POLY" or kind == "LABEL" else text or "end of input"
-
-
 def _element(value: Value) -> SkeinT2Element:
     # A scalar value as a multiple of the empty link; elements pass through.
     return value if type(value) is SkeinT2Element else SkeinT2Element.scalar(value)
@@ -298,6 +276,17 @@ def _element(value: Value) -> SkeinT2Element:
 
 def parse_element(source: str) -> SkeinT2Element:
     """Parse a skein expression into a canonical element."""
+    terms = _FLAT_TERM.findall(source)
+    if terms and " + ".join([t[0] for t in terms]) == source:
+        acc: dict = {}
+        try:
+            for _, _, n, d, p, q in terms:
+                c = RationalFunction(_literal(n), _literal(d) if d else None)
+                label = SkeinT2Element.curve(int(p), int(q)) if p else SkeinT2Element.unit()
+                _accumulate(acc, label.scale(c).terms.items())
+            return SkeinT2Element._raw(acc)
+        except (ValueError, ArithmeticError, MemoryError):
+            pass  # int's digit limit, a zero denominator, a size budget: the grammar's error
     return _element(_Parser(tokenize(source)).parse())
 
 

@@ -206,6 +206,8 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by A^k."""
+        if type(k) is not int:
+            raise ValueError(f"the exponent of A must be an int, got {k!r}")
         if k == 0 or not self.terms:
             return self
         return LaurentPoly._raw({e + k: c for e, c in self.terms.items()})
@@ -570,11 +572,8 @@ class RationalFunction:
 
     def shift(self, k: int) -> "RationalFunction":
         """Multiply by A^k: num * A^k over the same den, with no gcd and no product."""
-        if type(k) is not int:
-            raise ValueError(f"the exponent of A must be an int, got {k!r}")
-        if not k:
-            return self
-        return RationalFunction._raw(self.num.shift(k), self.den)
+        num = self.num.shift(k)  # refuses an exponent that is not an int
+        return self if num is self.num else RationalFunction._raw(num, self.den)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._raw(-self.num, self.den)

@@ -1,8 +1,10 @@
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -266,6 +268,22 @@ def test_non_decimal_digits_exit_2(capsys):
         assert err == f"parse error: line 1, column {col}: unexpected character '\u00b2'\n"
 
 
+def test_long_integer_literal_is_a_parse_error_at_its_column(capsys):
+    nines = "9" * 5000
+    for text, col in (
+        (f"({nines})*(1,0)", 2),
+        (f"(1)*(1,0) + (A^-{nines})*(0,1)", 17),
+        (f"2*A^{nines}", 5),
+        (f"(1,-{nines})", 5),
+    ):
+        code, out, err = run(capsys, "mul", text)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: line 1, column {col}: integer literal longer than 4300 digits\n"
+    # 4300 digits is int()'s limit, and still a literal.
+    code, out, _ = run(capsys, "mul", f"({nines[:4300]})*(1,0)")
+    assert (code, out) == (0, f"({nines[:4300]})*(1,0)\n")
+
+
 def test_box_below_1_exits_2(capsys):
     for argv in (["oracle-check", "--box", "-3"], ["selftest", "--box", "0"], ["closure-check", "--box", "-1"]):
         code, out, err = run(capsys, *argv)
@@ -333,6 +351,36 @@ def test_closed_stdout_exits_1_without_traceback(unbuffered):
         os.close(write_end)
     assert done.returncode == 1
     assert done.stderr == b""
+
+
+# Announces on stdout that console_main is about to run, then runs an
+# oracle sweep that takes minutes.
+_INTERRUPTED = """
+import sys
+from skeincalc import cli
+sys.argv[1:] = ["oracle-check", "--box", "60"]
+print("started", flush=True)
+sys.exit(cli.console_main())
+"""
+
+
+def test_interrupt_exits_130_without_traceback():
+    child = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTED],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    try:
+        assert child.stdout.readline() == b"started\n"
+        time.sleep(0.5)  # into the sweep
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert child.returncode == 130
+    assert out == b""
+    assert b"Traceback" not in err and len(err.splitlines()) <= 1
 
 
 def _limit_address_space():

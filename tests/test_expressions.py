@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from skeincalc.expressions import MAX_DEPTH, ExpressionError, parse_element, parse_scalar, tokenize
+from skeincalc import expressions
+from skeincalc.expressions import (
+    MAX_DEPTH,
+    MAX_DIGITS,
+    ExpressionError,
+    _element,
+    _Parser,
+    parse_element,
+    parse_scalar,
+    tokenize,
+)
 from skeincalc.ratfunc import LaurentPoly, RationalFunction, a_pow
 from skeincalc.torus2 import SkeinT2Element, commutator, curve, scalar
 
@@ -254,7 +264,7 @@ _SINGLES = set("+-*/^(),")  # each is its own kind
 
 def test_tokens_point_at_their_text_seeded():
     rng = random.Random(23)
-    scanned = refused = literals = 0
+    scanned = refused = ints = 0
     for _ in range(2000):
         source = "".join(rng.choice(_SCAN_ALPHABET) for _ in range(rng.randint(0, 30)))
         lines = source.split("\n")
@@ -268,12 +278,15 @@ def test_tokens_point_at_their_text_seeded():
             continue
         for kind, text, line, col in tokens:
             assert lines[line - 1][col - 1 : col - 1 + len(text)] == text, (source, text)
-            assert kind == text if text in _SINGLES else kind in ("POLY", "LABEL", "INT", "NAME", "EOF")
+            assert kind == text if text in _SINGLES else kind in ("INT", "NAME", "EOF")
         assert tokens[-1] == ("EOF", "", len(lines), len(lines[-1]) + 1), source
         assert "".join(tok[1] for tok in tokens).translate(_BLANKS) == source.translate(_BLANKS), source
         scanned += 1
-        literals += any(tok[0] in ("POLY", "LABEL") for tok in tokens)
-    assert scanned > 200 and refused > 200 and literals
+        ints += any(tok[0] == "INT" for tok in tokens)
+    assert scanned > 200 and refused > 200 and ints
+    # A parenthesized polynomial or label is the grammar's tokens, '(' first.
+    assert [tok[0] for tok in tokenize("(2*A^-1)")] == ["(", "INT", "*", "NAME", "^", "-", "INT", ")", "EOF"]
+    assert [tok[0] for tok in tokenize("( -1, 2)")] == ["(", "-", "INT", ",", "INT", ")", "EOF"]
 
 
 def test_nesting_depth_is_bounded():
@@ -292,7 +305,7 @@ def test_nesting_depth_is_bounded():
         assert f"nested deeper than {MAX_DEPTH} levels" in str(err.value)
 
 
-# ---- parenthesized Laurent-polynomial literals, scanned as one token
+# ---- parenthesized Laurent-polynomial literals, read by the grammar
 
 # ASCII, Arabic-Indic and Devanagari digits; int() reads each of them.
 _DIGITS = ["".join(chr(zero + i) for i in range(10)) for zero in (0x30, 0x660, 0x966)]
@@ -341,14 +354,15 @@ def test_literals_parse_to_their_terms_seeded():
         for e, c in terms:
             sums[e] = sums.get(e, 0) + c
         want = LaurentPoly(sums)
-        assert [tok[0] for tok in tokenize(text)] == ["POLY", "EOF"], text
         got = parse_scalar(text)
         assert got == RationalFunction(want), text
         assert all(type(c) is int for c in got.num.terms.values())
-        # The same text with a tab after '(' is no literal; the grammar gives the same value.
+        # The same text with a tab after '(' gives the same value.
         tabbed = "(\t" + text[1:]
-        assert "POLY" not in [tok[0] for tok in tokenize(tabbed)]
         assert parse_scalar(tabbed) == got, text
+        # As a flat-sum coefficient, spelled as written or as it renders.
+        assert parse_element(f"{text}*(1,0)") == curve(1, 0).scale(got), text
+        assert parse_element(f"({want})*(1,0)") == curve(1, 0).scale(got), text
         zeros += want.is_zero()
         big += any(abs(c) > 2**64 for c in want.terms.values())
     assert zeros and big
@@ -383,7 +397,7 @@ def test_near_literals_keep_their_values_and_errors():
         ("(1 + A) @", 1, 9, "unexpected character '@'"),
         ("(A + 1)/(A - A)", 1, 8, "division by zero (near '/')"),
         ("(" * 101 + "1" + ")" * 101, 1, 101, "expression nested deeper than 100 levels (near '(')"),
-        # A literal is as deep as the grammar nests it: its leading minus is a level.
+        # A leading minus inside the innermost '(' is one level more.
         ("(" * 99 + "( -A)" + ")" * 99, 1, 102, "expression nested deeper than 100 levels (near '-')"),
     ]
     for text, line, col, message in errors:
@@ -393,7 +407,7 @@ def test_near_literals_keep_their_values_and_errors():
     assert parse_element("(" * 99 + "(A)" + ")" * 99) == scalar(a_pow(1))
 
 
-# ---- curve labels scanned as one token, and quotients of two polynomials
+# ---- curve labels, and quotients of two polynomials
 
 
 def _random_label(rng):
@@ -414,16 +428,14 @@ def test_labels_parse_to_their_curves_seeded():
     tail = " + 2*A"  # its tokens start 1, 3, 4 and 5 characters after the label
     for _ in range(500):
         text, (p, q) = _random_label(rng)
-        assert [tok[0] for tok in tokenize(text)] == ["LABEL", "EOF"], text
         want = parse_element(text + tail)
         assert parse_element(text) == curve(p, q), text
         assert want == curve(p, q) + scalar(RationalFunction.from_int(2) * a_pow(1)), text
-        # A tab or newline at any blank leaves the label to the grammar's tokens.
+        # A tab or newline at any blank keeps the value.
         for i in [i for i, ch in enumerate(text) if ch == " "] + [1, len(text) - 1]:
             for blank in ("\t", "\n"):
                 source = text[:i] + blank + text[i + (text[i] == " "):] + tail
                 tokens = tokenize(source)
-                assert "LABEL" not in [tok[0] for tok in tokens], source
                 assert parse_element(source) == want, source
                 # The tokens after the label keep the columns their offsets give.
                 start = len(source) - len(tail)
@@ -431,8 +443,8 @@ def test_labels_parse_to_their_curves_seeded():
                     k = start + offset
                     assert tok[2:] == (source.count("\n", 0, k) + 1, k - source.rfind("\n", 0, k)), source
     assert parse_element("(\u0663,-1)") == curve(3, -1)
-    assert tokenize("(\u0663,-1)")[0] == ("LABEL", "(\u0663,-1)", 1, 1)
-    assert tokenize("(1,0) (0,1)")[1] == ("LABEL", "(0,1)", 1, 7)
+    assert tokenize("(\u0663,-1)")[:2] == [("(", "(", 1, 1), ("INT", "\u0663", 1, 2)]
+    assert tokenize("(1,0) (0,1)")[5] == ("(", "(", 1, 7)
 
 
 def test_near_labels_keep_their_errors():
@@ -525,3 +537,132 @@ def test_every_quotient_is_the_product_by_the_inverse(monkeypatch):
     assert len(products) == 0
     parse_scalar("2*A/(A + 1)")  # 2 * A is the one product
     assert len(products) == 1
+
+
+# ---- the flat-sum reader gives the grammar's values and errors
+
+
+def _grammar(source):
+    # The grammar alone, with no flat-sum reader in front of it.
+    return _element(_Parser(tokenize(source)).parse())
+
+
+def _outcome(parse, source):
+    try:
+        return parse(source)
+    except ExpressionError as err:
+        return f"error: {err}"
+
+
+def _flat_poly(rng):
+    """Integer Laurent-polynomial text in the reader's spelling: rendered, or
+    with unsorted, repeated or zero terms, A^1, 1*A, A^0, A^-0 or other digits."""
+    if rng.random() < 0.4:
+        return str(LaurentPoly({rng.randint(-4, 4): rng.choice((1, -1, 2, -3, 10**30)) for _ in range(3)}))
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        c, e = rng.choice((0, 1, 1, 2, 3, 10**30 + 7)), rng.randint(-3, 3)
+        power = rng.choice(("", f"^{e}")) if e == 1 else rng.choice(("^-0", "^0")) if e == 0 else f"^{e}"
+        if e == 0 and rng.random() < 0.6:
+            mono = _digits(rng, c)
+        elif c == 1 and rng.random() < 0.5:
+            mono = "A" + power
+        else:
+            mono = f"{_digits(rng, c)}*A{power}"
+        parts.append((rng.choice("+-"), mono))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return text + "".join(f" {sign} {mono}" for sign, mono in parts[1:])
+
+
+def _flat_term(rng):
+    n, d = _flat_poly(rng), _flat_poly(rng)
+    label = "empty" if rng.random() < 0.15 else "(%s,%s)" % tuple(
+        ("-" if x < 0 else "") + _digits(rng, abs(x)) for x in (rng.randint(-2, 2), rng.randint(-2, 2))
+    )
+    shape = rng.choice(("({n})*{L}", "({n})/({d})*{L}", "(({n})/({d}))*{L}", "(({n}))*{L}"))
+    return shape.format(n=n, d=d, L=label)
+
+
+# (text, read): near misses of a flat sum, and whether the reader takes the
+# text (True) or hands it to the grammar (False).
+_NEAR_FLAT_SUMS = [
+    (" + (1)*empty", False),
+    ("(1)*empty + ", False),
+    (" + (A)*(1,0) + (1)*(0,1)", False),
+    ("(A)*(1,0) + (1)*(0,1) + ", False),
+    ("(A)*(1,0) + ", False),
+    ("(1)*(1,0) - (A)*(0,1)", False),
+    ("(1)*(1,0) + -(A)*(0,1)", False),
+    ("(1)*(1,0)  + (A)*(0,1)", False),
+    ("(1)*(1,0)+(A)*(0,1)", False),
+    ("(1)*(1,0) +\t(A)*(0,1)", False),
+    ("(1)*(1,0)\n + (A)*(0,1)", False),
+    ("(1\t+ A)*(1,0)", False),
+    ("(1 +\nA)*(1,0)", False),
+    ("(1)*(1,0)\n", False),
+    (" (1)*(1,0)", False),
+    ("(1)*(1, 0)", False),
+    ("(1) * (1,0)", False),
+    ("(- A)*(1,0)", False),
+    ("(--A)*(1,0)", False),
+    ("(2A)*(1,0)", False),
+    ("(A^ 2)*(1,0)", False),
+    ("(1)*(1,0)*(0,1)", False),
+    ("(1)*(1,0) (0,1)", False),
+    ("(1)*emptyx", False),
+    ("(1)*Empty", False),
+    ("((A + 1))*(1,0)", True),
+    ("(((A + 1)))*(1,0)", False),
+    ("((A + 1)/(A - 1)*(1,0)", False),
+    ("((A + 1)/(A - 1)))*(1,0)", False),
+    ("((1/2*A)/(A^2 + 1/2))*(1,0)", False),
+    ("(1/2)*(1,0)", False),
+    ("(A)/(2)*(1,0)", True),
+    ("((2*A)/(4*A^2 + 2))*(1,0)", True),
+    ("(1)*(0,0)", True),
+    ("(A)*(0,0) + (-A)*empty + (-A)*empty", True),
+    ("(0)*(1,0)", True),
+    ("(0)*empty", True),
+    ("(A - A)*(1,0) + (1)*empty", True),
+    ("(1)*(1,0) + (A)*(1,0) + (-1)*(1,0)", True),
+    ("(1)*(1,0) + (1)*(-1,0)", True),
+    ("(A)*(-1,-2) + (-A)*(1,2)", True),
+    ("(1)*empty + (-1)*empty", True),
+    ("(1)*empty", True),
+    ("(A^2 - 1)/(A - 1)*empty", True),
+    ("(1)/(0)*(1,0)", False),
+    ("(1)/(A - A)*(1,0)", False),
+    ("((A)/(0))*(1,0)", False),
+    ("(1)*(1,0) + (1)/(0)*(0,1)", False),
+    ("(" + "9" * 5000 + ")*(1,0)", False),
+    ("(1)*(1,0) + (A^-" + "9" * 5000 + ")*(0,1)", False),
+    ("(1)*(" + "9" * 5000 + ",1)", False),
+    ("(" + "9" * MAX_DIGITS + ")*(1,0)", True),
+]
+
+
+def test_flat_sum_reader_matches_the_grammar_seeded(monkeypatch):
+    rng = random.Random(27)
+    flat = [" + ".join(_flat_term(rng) for _ in range(rng.randint(1, 5))) for _ in range(400)]
+    values = [v for v in map(lambda x: _outcome(_grammar, x), flat) if type(v) is not str]
+    rendered = [str(x * y) for x, y in zip(values[:100], values[100:200])]
+    grammar_runs = []
+    real = expressions.tokenize
+    monkeypatch.setattr(expressions, "tokenize", lambda source: grammar_runs.append(source) or real(source))
+    errors = read = 0
+    for source in flat + rendered:
+        want = _outcome(_grammar, source)
+        grammar_runs.clear()
+        assert _outcome(parse_element, source) == want, source
+        # The reader takes every generated sum; only an error goes back to the
+        # grammar.  A rendered product with fraction coefficients is the grammar's.
+        if source in flat:
+            assert bool(grammar_runs) == (type(want) is str), source
+        errors += type(want) is str
+        read += source in rendered and not grammar_runs
+    assert errors and 10 < read < len(rendered)
+    for source, reads in _NEAR_FLAT_SUMS:
+        want = _outcome(_grammar, source)
+        grammar_runs.clear()
+        assert _outcome(parse_element, source) == want, source
+        assert (not grammar_runs) == reads, source

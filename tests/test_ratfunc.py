@@ -740,6 +740,12 @@ def test_exponents_must_be_ints():
         lambda: a_pow(1.5),
         lambda: ONE.shift(0.5),
         lambda: ONE.shift(True),
+        lambda: ONE.shift(0.0),  # refused before the shortcut for k == 0
+        lambda: ZERO.shift(0.5),
+        lambda: LaurentPoly({1: 1}).shift(0.5),  # was A^1.5
+        lambda: LaurentPoly({1: 1}).shift(True),  # was A^2
+        lambda: LaurentPoly({1: 1}).shift(0.0),
+        lambda: LaurentPoly.zero().shift(0.5),  # refused with no term to shift
         lambda: LaurentPoly({1.5: 1}),
         lambda: framing_twist(x, 1.5),
         lambda: framing_twist(x.scale(ZERO), 1.5),  # refused with no term to shift
