@@ -90,12 +90,11 @@ def cmd_reduce_t3(args) -> int:
     if args.json:
         _print_json(cert.to_json_dict())
     else:
-        print(f"input: {c}")
-        print(f"canonical: {canonical}")
-        print(f"steps: {len(cert.steps)}")
-        for s in cert.steps:
-            print(f"  u {s.u} v {s.v} {s.from_pair} -> {s.to_pair}")
-        print("certificate verified")
+        # Every line is rendered before the first is written, so an integer
+        # too long to render leaves stdout empty.
+        lines = [f"input: {c}", f"canonical: {canonical}", f"steps: {len(cert.steps)}"]
+        lines += [f"  u {s.u} v {s.v} {s.from_pair} -> {s.to_pair}" for s in cert.steps]
+        print("\n".join(lines + ["certificate verified"]))
     return 0
 
 

@@ -72,8 +72,8 @@ class Combination:
         return set(self.terms)
 
     def scale(self, coeff: RationalFunction):
-        # A unit coefficient, such as a bare curve label's, takes coeff whole,
-        # with no product.
+        # A unit coefficient, such as that of the label in a flat-sum term
+        # (N)*L, takes coeff whole, with no product.
         if coeff.is_zero():
             return type(self)()
         one = RationalFunction.one()

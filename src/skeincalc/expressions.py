@@ -13,19 +13,11 @@ Grammar, lowest to highest precedence:
 rational-function text such as (-A^4 - 1)/(A^2 + 1) parses to the scalar
 it denotes.  A '(' opens a curve label exactly when an integer followed
 by a comma comes next.  Evaluation happens during parsing; there is no
-separate syntax tree.  A scalar is a Q(A) value (a RationalFunction)
-from its first token.  Over 1, its sums and products are the Laurent
-polynomial's own, with no gcd.  A quotient of two scalars over 1 is
-RationalFunction(n, d): one _monic and one _cancel, with no inverse and
-no product; any other quotient is a product by the divisor's inverse.
-A scalar becomes a SkeinT2Element at a curve label, as a multiple of
-the empty link or as the coefficient of the element it meets; a bare
-label c*(p,q) takes c as its coefficient with no product
-(Combination.scale).  A sum t1 + t2 + ... that holds an element adds
-each term, from the first element on, into one coefficient map, so it
-costs one pass and not a copy of the map per '+'.  Scalars are central
-and canonical forms are unique, so the result is the same canonical
-element as evaluating everything in the skein algebra.
+separate syntax tree.  Every value is a SkeinT2Element: an INT, A^k and
+'empty' are multiples of the empty link, a quotient is the product by
+the inverse of the divisor's empty-link coefficient, and a sum
+t1 + t2 + ... adds each term into one coefficient map, so it costs one
+pass and not a copy of the map per '+'.
 
 Every element renders as a flat sum: terms (N)*L or ((N)/(D))*L joined
 by ' + ', N and D integer Laurent polynomials spelled as they render
@@ -66,10 +58,6 @@ MAX_DEPTH = 100
 
 # Longest integer literal accepted: int()'s default limit on decimal text.
 MAX_DIGITS = 4300
-
-# A parsed subexpression: a Q(A) scalar until it meets a curve label, an
-# element from then on.
-Value = RationalFunction | SkeinT2Element
 
 Token = tuple[str, str, int, int]  # (kind, text, line, col)
 
@@ -163,60 +151,39 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             self.fail(tok, f"expression nested deeper than {MAX_DEPTH} levels")
 
-    def parse(self) -> Value:
+    def parse(self) -> SkeinT2Element:
         value = self.expr()
         tok = self.peek()
         if tok[0] != "EOF":
             self.fail(tok, "trailing input after expression")
         return value
 
-    def expr(self) -> Value:
-        value = self.term()
+    def expr(self) -> SkeinT2Element:
+        acc = dict(self.term().terms)
         tokens = self.tokens
-        acc = None  # the sum's coefficient map, from its first element on
         while (kind := tokens[self.pos][0]) == "+" or kind == "-":
             self.pos += 1
-            minus = kind == "-"
-            rhs = self.term()
-            if acc is None and SkeinT2Element not in (type(value), type(rhs)):
-                value = value - rhs if minus else value + rhs
-                continue
-            if acc is None:
-                acc = dict(_element(value).terms)
-            terms = _element(rhs).terms.items()
-            _accumulate(acc, ((k, -c) for k, c in terms) if minus else terms)
-        return value if acc is None else SkeinT2Element._raw(acc)
+            terms = self.term().terms.items()
+            _accumulate(acc, ((k, -c) for k, c in terms) if kind == "-" else terms)
+        return SkeinT2Element._raw(acc)
 
-    def term(self) -> Value:
+    def term(self) -> SkeinT2Element:
         value = self.factor()
         tokens = self.tokens
         while (op := tokens[self.pos])[0] == "*" or op[0] == "/":
             self.pos += 1
             rhs = self.factor()
-            if op[0] == "/":
-                value = self._divide(value, rhs, op)
-            elif type(value) is type(rhs):
+            if op[0] == "*":
                 value = value * rhs
-            elif type(rhs) is SkeinT2Element:
-                value = rhs.scale(value)
+            elif rhs.support() - {EMPTY}:
+                self.fail(op, "divisor must be a scalar")
+            elif (c := rhs.coeff(EMPTY)).is_zero():
+                self.fail(op, "division by zero")
             else:
-                value = value.scale(rhs)
+                value = value.scale(c.inverse())
         return value
 
-    def _divide(self, value: Value, c: Value, op: Token) -> Value:
-        if type(c) is SkeinT2Element:
-            if c.support() - {EMPTY}:
-                self.fail(op, "divisor must be a scalar")
-            c = c.coeff(EMPTY)
-        if c.is_zero():
-            self.fail(op, "division by zero")
-        if type(value) is SkeinT2Element:
-            return value.scale(c.inverse())
-        if value.den.is_one() and c.den.is_one():
-            return RationalFunction(value.num, c.num)  # one _monic and one _cancel
-        return value * c.inverse()
-
-    def factor(self) -> Value:
+    def factor(self) -> SkeinT2Element:
         tok = self.tokens[self.pos]
         if tok[0] == "-":
             self.pos += 1
@@ -233,12 +200,12 @@ class _Parser:
             sign = -1
         return sign * int(self.expect("INT", what)[1])
 
-    def atom(self) -> Value:
+    def atom(self) -> SkeinT2Element:
         tok = self.tokens[self.pos]
         kind, text, _, _ = tok
         if kind == "INT":
             self.pos += 1
-            return RationalFunction.from_int(int(text))
+            return SkeinT2Element.scalar(RationalFunction.from_int(int(text)))
         if kind == "NAME":
             self.pos += 1
             if text == "A":
@@ -246,9 +213,9 @@ class _Parser:
                 if self.peek()[0] == "^":
                     self.advance()
                     exp = self._signed_int("an integer exponent")
-                return a_pow(exp)
+                return SkeinT2Element.scalar(a_pow(exp))
             if text == "empty":
-                return RationalFunction.one()
+                return SkeinT2Element.unit()
             self.fail(tok, f"unknown name {text!r}")
         if kind == "(":
             # Curve label when an integer then a comma follow.
@@ -269,11 +236,6 @@ class _Parser:
         self.fail(tok, "expected a number, 'A', 'empty', a curve label or '('")
 
 
-def _element(value: Value) -> SkeinT2Element:
-    # A scalar value as a multiple of the empty link; elements pass through.
-    return value if type(value) is SkeinT2Element else SkeinT2Element.scalar(value)
-
-
 def parse_element(source: str) -> SkeinT2Element:
     """Parse a skein expression into a canonical element."""
     terms = _FLAT_TERM.findall(source)
@@ -287,7 +249,7 @@ def parse_element(source: str) -> SkeinT2Element:
             return SkeinT2Element._raw(acc)
         except (ValueError, ArithmeticError, MemoryError):
             pass  # int's digit limit, a zero denominator, a size budget: the grammar's error
-    return _element(_Parser(tokenize(source)).parse())
+    return _Parser(tokenize(source)).parse()
 
 
 def parse_scalar(source: str) -> RationalFunction:

@@ -383,6 +383,21 @@ def test_interrupt_exits_130_without_traceback():
     assert b"Traceback" not in err and len(err.splitlines()) <= 1
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit on int text")
+def test_reduce_t3_answer_past_the_digit_limit_writes_nothing():
+    # The step's v holds entries of about 5,000 digits, past int's 4,300-digit
+    # limit on decimal text: the answer is refused whole, not cut off.
+    argv = [str(7**2957), str(11**2400), str(13**2243)]
+    done = subprocess.run(
+        [sys.executable, "-m", "skeincalc.cli", "reduce-t3", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: Exceeds the limit (4300 digits)")
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # 1 GiB
 

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from skeincalc import expressions
+from skeincalc import expressions, ratfunc
 from skeincalc.expressions import (
     MAX_DEPTH,
     MAX_DIGITS,
     ExpressionError,
-    _element,
     _Parser,
     parse_element,
     parse_scalar,
@@ -530,13 +529,15 @@ def test_every_quotient_is_the_product_by_the_inverse(monkeypatch):
             assert parse_element(text) == x.scale(y.inverse()), text
         else:
             assert parse_scalar(text) == x * y.inverse(), text
-    products = []
-    mul = LaurentPoly.__mul__
-    monkeypatch.setattr(LaurentPoly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
-    parse_scalar("(A^2 - 1)/(A - 1)/(A + 1)")  # two quotients over 1, no product
-    assert len(products) == 0
-    parse_scalar("2*A/(A + 1)")  # 2 * A is the one product
-    assert len(products) == 1
+    # A quotient is one canonicalization: (A^2 - 1)/(A - 1) takes one gcd and
+    # A + 1 then cancels whole; a one-term numerator shares no factor.
+    gcds = []
+    gcd = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: gcds.append(1) or gcd(a, b))
+    for text, calls in (("(A^2 - 1)/(A - 1)/(A + 1)", 1), ("2*A/(A + 1)", 0)):
+        gcds.clear()
+        parse_scalar(text)
+        assert len(gcds) == calls, text
 
 
 # ---- the flat-sum reader gives the grammar's values and errors
@@ -544,7 +545,7 @@ def test_every_quotient_is_the_product_by_the_inverse(monkeypatch):
 
 def _grammar(source):
     # The grammar alone, with no flat-sum reader in front of it.
-    return _element(_Parser(tokenize(source)).parse())
+    return _Parser(tokenize(source)).parse()
 
 
 def _outcome(parse, source):
